@@ -33,7 +33,7 @@ def pytest_addoption(parser) -> None:
     parser.addoption(
         "--executor",
         default=None,
-        choices=("auto", "serial", "thread", "process"),
+        choices=("auto", "serial", "thread"),
         help="executor strategy the parallel benchmarks run with "
         "(default: REPRO_EXECUTOR environment variable, else auto)",
     )

@@ -54,7 +54,6 @@ from repro.core.lossless import LosslessCodec, lossless_compress, lossless_decom
 from repro.core.lossy import LossyCodec, LossyCompressed, LossyConfig, lossy_compress, lossy_decompress
 from repro.core.parallel import (
     Executor,
-    ProcessExecutor,
     SerialExecutor,
     ThreadExecutor,
     resolve_executor,
@@ -64,7 +63,6 @@ from repro.errors import (
     ConfigurationError,
     ContainerError,
     IntegrityError,
-    ParallelExecutionError,
     ReproError,
     TraceFormatError,
 )
@@ -77,7 +75,7 @@ from repro.traces.filter import (
 from repro.traces.spec_like import SPEC_LIKE_NAMES, spec_like_suite
 from repro.traces.trace import AddressTrace, iter_raw_chunks, read_raw_trace, write_raw_trace
 
-__version__ = "1.9.0"
+__version__ = "2.0.0"
 
 # The experiments subsystem imports the trace/codec layers above, so its
 # re-exports come last to keep the import order acyclic.
@@ -128,7 +126,6 @@ __all__ = [
     "Executor",
     "SerialExecutor",
     "ThreadExecutor",
-    "ProcessExecutor",
     "resolve_executor",
     # experiments
     "SweepSpec",
@@ -145,5 +142,4 @@ __all__ = [
     "IntegrityError",
     "CodecError",
     "ConfigurationError",
-    "ParallelExecutionError",
 ]

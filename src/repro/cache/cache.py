@@ -538,7 +538,7 @@ class SetAssociativeCache:
         self.stats = CacheStats()
 
 
-def access_batches(caches, block_batches, workers: int = 1, executor=None) -> List[np.ndarray]:
+def access_batches(caches, block_batches) -> List[np.ndarray]:
     """Batch-access several *independent* caches in one fused kernel call.
 
     The set-parallel kernel amortises its per-time-step cost over every
@@ -550,20 +550,10 @@ def access_batches(caches, block_batches, workers: int = 1, executor=None) -> Li
     cache is ineligible for the kernel: RANDOM replacement, dirty blocks,
     direct-mapped or single-set geometry, or a tiny total batch).
 
-    With ``workers > 1`` (or an explicit ``executor``) each fused slice is
-    additionally sharded across executor workers by row index —
-    :func:`repro.core.kernels.simulate_batch_sharded` — which on the
-    process executor puts the simulation on real cores.  Results stay
-    bit-identical to the serial call for every strategy.
-
     Args:
         caches: The :class:`SetAssociativeCache` instances to access.
         block_batches: One block-address iterable per cache, in the same
             order.
-        workers: Kernel shard count (``0``/``None`` = one per CPU) for
-            executors created here; ``1`` keeps the serial inline path.
-        executor: Strategy name, live executor to borrow, or ``None`` for
-            the environment/auto default.
 
     Returns:
         One boolean hit mask per cache, aligned with its input order.
@@ -616,34 +606,18 @@ def access_batches(caches, block_batches, workers: int = 1, executor=None) -> Li
     # march in bounded joint slices: each cache's replacement state carries
     # from one slice to the next, so the result is identical to one shot
     # while the kernel's scratch matrices stay slice-sized
-    from contextlib import nullcontext
-
-    from repro.core.executors import executor_kind, executor_scope, resolve_workers
-
-    inline = (
-        executor is None and resolve_workers(workers) <= 1 and executor_kind(None) == "auto"
-    )
-    # resolve the executor once so every slice shares one pool instead of
-    # paying a pool start-up per KERNEL_SLICE_BLOCKS slice
-    scope = nullcontext(None) if inline else executor_scope(executor, workers)
     masks = [np.empty(int(array.size), dtype=bool) for array in arrays]
-    with scope as engine:
-        for start in range(0, max(int(array.size) for array in arrays), KERNEL_SLICE_BLOCKS):
-            pieces = [array[start : start + KERNEL_SLICE_BLOCKS] for array in arrays]
-            slice_hits = _fused_kernel_slice(caches, pieces, row_bases, ways, set_mask, engine)
-            for mask, piece_hits in zip(masks, slice_hits):
-                mask[start : start + piece_hits.size] = piece_hits
+    for start in range(0, max(int(array.size) for array in arrays), KERNEL_SLICE_BLOCKS):
+        pieces = [array[start : start + KERNEL_SLICE_BLOCKS] for array in arrays]
+        slice_hits = _fused_kernel_slice(caches, pieces, row_bases, ways, set_mask)
+        for mask, piece_hits in zip(masks, slice_hits):
+            mask[start : start + piece_hits.size] = piece_hits
     return masks
 
 
-def _fused_kernel_slice(caches, pieces, row_bases, ways, set_mask, engine=None) -> List[np.ndarray]:
-    """One fused kernel pass over aligned per-cache batch slices.
-
-    With a live ``engine`` the slice is sharded across its workers by row
-    index (:func:`repro.core.kernels.simulate_batch_sharded`); without one
-    the plain single-process kernel runs — both produce identical results.
-    """
-    from repro.core.kernels import simulate_batch, simulate_batch_sharded
+def _fused_kernel_slice(caches, pieces, row_bases, ways, set_mask) -> List[np.ndarray]:
+    """One fused kernel pass over aligned per-cache batch slices."""
+    from repro.core.kernels import simulate_batch
 
     offsets: List[int] = []
     offset = 0
@@ -665,12 +639,7 @@ def _fused_kernel_slice(caches, pieces, row_bases, ways, set_mask, engine=None) 
     for cache, set_index, row_base in zip(caches, set_indices, row_bases):
         for index, stack in cache._kernel_seed_stacks(set_index).items():
             initial[index + row_base] = stack
-    if engine is None:
-        result = simulate_batch(blocks, rows, set_mask, ways, "lru", initial)
-    else:
-        result = simulate_batch_sharded(
-            blocks, rows, set_mask, ways, "lru", initial, executor=engine
-        )
+    result = simulate_batch(blocks, rows, set_mask, ways, "lru", initial)
     # one pass over the touched rows, routed to their owning lane
     from bisect import bisect_right
 

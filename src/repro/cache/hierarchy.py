@@ -143,12 +143,6 @@ class CacheHierarchy:
             level.reset()
 
 
-def _miss_stream_task(task) -> np.ndarray:
-    """Picklable per-trace hierarchy-filter cell (fresh levels per trace)."""
-    configs, blocks = task
-    return CacheHierarchy(configs).miss_stream(blocks)
-
-
 def miss_streams(
     traces,
     configs: Sequence[CacheConfig],
@@ -158,11 +152,10 @@ def miss_streams(
     """Filter several independent block traces through the same geometry.
 
     Each trace gets its own fresh hierarchy (independent workloads must not
-    share cache state), so the cells fan out on the executor engine; with
-    the process executor the block arrays travel through shared memory and
-    the per-access simulation uses real cores.  Results are in input order
-    and identical to ``[CacheHierarchy(configs).miss_stream(t) for t in
-    traces]`` for every strategy.
+    share cache state), so the cells fan out on the executor engine.
+    Results are in input order and identical to
+    ``[CacheHierarchy(configs).miss_stream(t) for t in traces]`` for every
+    strategy.
 
     Args:
         traces: Iterable of block-address arrays (one per workload).
@@ -175,5 +168,8 @@ def miss_streams(
     from repro.traces.trace import as_address_array
 
     configs = tuple(configs)
-    tasks = [(configs, as_address_array(trace)) for trace in traces]
-    return map_ordered(_miss_stream_task, tasks, workers=workers, executor=executor)
+
+    def miss_stream(trace) -> np.ndarray:
+        return CacheHierarchy(configs).miss_stream(as_address_array(trace))
+
+    return map_ordered(miss_stream, traces, workers=workers, executor=executor)

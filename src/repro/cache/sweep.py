@@ -77,14 +77,6 @@ class MissRatioSurface:
         return total / count if count else 0.0
 
 
-def _sweep_pass_task(task) -> MissRatioCurve:
-    """Picklable single-set-count simulation pass (any executor worker)."""
-    blocks, num_sets, max_associativity = task
-    simulator = LruStackSimulator(num_sets, max_associativity=max_associativity)
-    simulator.access_trace(blocks)
-    return simulator.curve()
-
-
 def miss_ratio_sweep(
     blocks: Iterable[int],
     set_counts: Sequence[int],
@@ -98,11 +90,8 @@ def miss_ratio_sweep(
     The per-set-count passes are independent, so with ``workers > 1`` (or
     an explicit ``executor``) they run concurrently on the executor engine
     (:func:`repro.core.parallel.map_ordered`) — the same worker layer the
-    chunk-compression pipeline and the sweep runner use.  The stack-
-    distance simulator is a pure-Python hot loop, which makes this the
-    textbook process-executor fan-out: each pass ships the block array
-    through shared memory and runs on its own core.  The returned surface
-    is identical for every strategy and worker count.
+    chunk-compression pipeline and the sweep runner use.  The returned
+    surface is identical for every strategy and worker count.
 
     Args:
         blocks: Block-address trace (any iterable of ints, consumed fully).
@@ -121,36 +110,21 @@ def miss_ratio_sweep(
         >>> surface.miss_ratio(64, 4)        # a pure streaming trace always misses
         1.0
     """
-    from repro.core.parallel import executor_kind, map_ordered, resolve_workers
+    from repro.core.parallel import map_ordered
     from repro.traces.trace import as_address_array
 
-    # Normalise to the kernel's native ``uint64`` layout up front: every
-    # per-set-count pass then hands the stack kernel (and, for the process
-    # executor, the shared-memory exporter) one contiguous address array.
+    # Normalise to the kernel's native ``uint64`` layout once: every
+    # per-set-count pass then reads the same contiguous address array.
     materialised = as_address_array(
         blocks if isinstance(blocks, np.ndarray) else list(blocks)
     )
     set_counts = list(set_counts)
-    workers = resolve_workers(workers)
-    shared_blocks = materialised
-    segments: list = []
-    if len(set_counts) > 1 and executor_kind(executor) == "process":
-        # Every pass reads the same immutable trace: export it into ONE
-        # shared-memory segment up front and ship the handle per task,
-        # instead of letting each submission copy the whole array into its
-        # own segment.  Workers resolve the handle transparently (the
-        # process trampoline imports packed arguments without unlinking);
-        # the single segment is reclaimed here once the map returns.
-        from repro.core import shmem
 
-        shared_blocks = shmem.export_value(materialised, segments)
-    try:
-        tasks = [(shared_blocks, num_sets, max_associativity) for num_sets in set_counts]
-        passes = map_ordered(_sweep_pass_task, tasks, workers=workers, executor=executor)
-    finally:
-        if segments:
-            from repro.core import shmem
+    def simulate(num_sets: int) -> MissRatioCurve:
+        simulator = LruStackSimulator(num_sets, max_associativity=max_associativity)
+        simulator.access_trace(materialised)
+        return simulator.curve()
 
-            shmem.release_segments(segments)
+    passes = map_ordered(simulate, set_counts, workers=workers, executor=executor)
     curves: Dict[int, MissRatioCurve] = dict(zip(set_counts, passes))
     return MissRatioSurface(trace_name=trace_name, curves=curves)

@@ -22,8 +22,8 @@ declarative experiment-orchestration subsystem as ``repro sweep``
 ``repro bench`` (normalized ``BENCH_*.json`` reports plus the baseline
 comparison the CI regression gate runs) — see :mod:`repro.bench` and
 ``docs/performance.md``.  Every parallel subcommand takes ``--executor
-{serial,thread,process}`` (default: the ``REPRO_EXECUTOR`` environment
-variable, else auto), selecting the engine behind ``--jobs``.
+{serial,thread}`` (default: the ``REPRO_EXECUTOR`` environment variable,
+else auto), selecting the engine behind ``--jobs``.
 """
 
 from __future__ import annotations
@@ -112,11 +112,10 @@ def _add_executor_argument(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--executor",
         default=None,
-        choices=("auto", "serial", "thread", "process"),
-        help="execution strategy for parallel work: serial (inline), thread "
-        "(GIL-releasing codecs), process (true multi-core with shared-memory "
-        "chunk transport); default: the REPRO_EXECUTOR environment variable, "
-        "else auto (serial for 1 job, threads otherwise)",
+        choices=("auto", "serial", "thread"),
+        help="execution strategy for parallel work: serial (inline) or thread "
+        "(GIL-releasing codecs); default: the REPRO_EXECUTOR environment "
+        "variable, else auto (serial for 1 job, threads otherwise)",
     )
 
 

@@ -34,7 +34,6 @@ from repro.core.parallel import (
     EXECUTOR_NAMES,
     Executor,
     OrderedChunkWriter,
-    ProcessExecutor,
     SerialExecutor,
     ThreadExecutor,
     executor_scope,
@@ -92,7 +91,6 @@ __all__ = [
     "Executor",
     "SerialExecutor",
     "ThreadExecutor",
-    "ProcessExecutor",
     "OrderedChunkWriter",
     "executor_scope",
     "map_ordered",

@@ -35,7 +35,7 @@ from repro.core.integrity import chunk_digest, parse_chunk_digests
 from repro.core.intervals import IntervalRecord, materialize_interval
 from repro.core.lossless import LosslessCodec
 from repro.core.lossy import LossyConfig, LossyIntervalEncoder
-from repro.core.parallel import Executor, OrderedChunkWriter, executor_scope, resolve_workers
+from repro.core.parallel import OrderedChunkWriter, executor_scope, resolve_workers
 from repro.errors import CodecError, ConfigurationError, IntegrityError
 from repro.traces.trace import DEFAULT_CHUNK_ADDRESSES, AddressTrace, as_address_array
 
@@ -69,7 +69,7 @@ class AtcEncoder:
             are used (each bytesort buffer becomes a chunk).
         suffix: Chunk file suffix; defaults to the back-end name.
         executor: Execution strategy for the chunk pipeline — a name
-            (``"serial"``/``"thread"``/``"process"``) or a live
+            (``"serial"``/``"thread"``) or a live
             :class:`~repro.core.executors.Executor` to share across
             encoders; overrides ``config.executor``.  Containers are
             byte-identical for every strategy.
@@ -120,11 +120,10 @@ class AtcEncoder:
         self._buffer = np.empty(self._flush_threshold, dtype=np.uint64)
         self._buffered = 0
         # Ordered parallel chunk pipeline: chunk payloads are compressed on
-        # the selected executor (threads, or processes with shared-memory
-        # chunk transport) and written back to the container in submission
-        # order; on the serial default it runs inline.  The write callback
-        # runs on the caller's thread regardless of executor, so digest
-        # collection here is race-free.
+        # the selected executor and written back to the container in
+        # submission order; on the serial default it runs inline.  The
+        # write callback runs on the caller's thread regardless of
+        # executor, so digest collection here is race-free.
         self._chunk_digests: Dict[int, str] = {}
         self._pipeline = OrderedChunkWriter(
             self._write_chunk,
@@ -235,15 +234,11 @@ class AtcEncoder:
             self._records.append(
                 IntervalRecord(kind="chunk", chunk_id=chunk_id, length=int(interval.size))
             )
-        if not self._pipeline.decouples_at_submit(interval.nbytes):
-            # Thread pools (and sub-threshold process submissions) hold a
-            # reference to the caller's memory past submit; the serial path
-            # and large shared-memory exports are decoupled synchronously,
-            # so only the paths that need an owned copy pay for one.
+        if self._pipeline.is_async:
+            # A thread pool holds a reference to the caller's memory past
+            # submit; the serial path compresses inline, so only the
+            # threaded path pays for an owned copy.
             interval = np.array(interval, dtype=np.uint64, copy=True)
-        # Submitted as (fn, array) rather than a closure so the process
-        # executor can pickle the codec's bound method and park the interval
-        # array in shared memory.
         self._pipeline.submit(chunk_id, self._chunk_codec.compress, interval)
 
     def close(self) -> None:
@@ -276,92 +271,6 @@ class AtcEncoder:
     def addresses_coded(self) -> int:
         """Number of values fed to the encoder so far."""
         return self._total
-
-
-#: Per-process memo of (container handle, codec) pairs for chunk loading.
-#: A process worker receives a freshly unpickled :class:`_ChunkLoader` per
-#: task, so instance-level caching would rebuild the container every call;
-#: this module-level cache (one per worker interpreter) makes the rebuild
-#: once-per-worker.  Bounded so a long-lived worker touching many
-#: containers cannot grow it without limit.
-_CHUNK_LOADER_STATE: "OrderedDict[tuple, tuple]" = OrderedDict()
-_CHUNK_LOADER_STATE_MAX = 8
-
-
-def _chunk_loader_state(directory: str, backend: str, suffix, buffer_addresses: int) -> tuple:
-    key = (directory, backend, suffix, buffer_addresses)
-    state = _CHUNK_LOADER_STATE.get(key)
-    if state is None:
-        state = (
-            AtcContainer(directory, backend=backend, suffix=suffix),
-            LosslessCodec(buffer_addresses=buffer_addresses, backend=backend),
-        )
-        _CHUNK_LOADER_STATE[key] = state
-        while len(_CHUNK_LOADER_STATE) > _CHUNK_LOADER_STATE_MAX:
-            _CHUNK_LOADER_STATE.popitem(last=False)
-    else:
-        _CHUNK_LOADER_STATE.move_to_end(key)
-    return state
-
-
-def _load_verified_chunk(
-    container: AtcContainer,
-    codec: LosslessCodec,
-    chunk_id: int,
-    expected_digest: Optional[str],
-) -> np.ndarray:
-    """Read, digest-check and decompress one chunk.
-
-    The single funnel for every decode path (LRU cache, prefetch, bulk
-    ``read_all``, process workers): the raw bytes are checked against the
-    recorded digest first, and a chunk that then still fails to decompress
-    is reported as :class:`~repro.errors.IntegrityError` naming the file
-    and chunk rather than leaking a codec exception.
-    """
-    payload = container.read_chunk(chunk_id, expected_digest=expected_digest)
-    try:
-        return codec.decompress(payload)
-    except CodecError as exc:
-        target = container.path / f"{chunk_id + 1}.{container.suffix}"
-        raise IntegrityError(
-            f"{target}: chunk {chunk_id + 1} is corrupt: {exc}",
-            path=target,
-            chunk_id=chunk_id,
-        ) from exc
-
-
-class _ChunkLoader:
-    """Picklable read+verify+decompress task for one container's chunks.
-
-    The decoder's prefetch fan-out ships this tiny object (directory,
-    back-end name, suffix, bytesort buffer size, chunk-digest table)
-    to its executor instead of the decoder itself; in a process worker the
-    container handle and codec are memoised per interpreter
-    (:func:`_chunk_loader_state`), and the decoded ``uint64`` arrays travel
-    back through shared memory.  Digest verification rides along, so the
-    parallel prefetch path checks exactly what the serial path checks.
-    """
-
-    def __init__(
-        self,
-        directory,
-        backend: str,
-        suffix: Optional[str],
-        buffer_addresses: int,
-        digests: Optional[Dict[int, str]] = None,
-    ) -> None:
-        self.directory = str(directory)
-        self.backend = backend
-        self.suffix = suffix
-        self.buffer_addresses = int(buffer_addresses)
-        self.digests = dict(digests) if digests else {}
-
-    def __call__(self, chunk_id: int) -> np.ndarray:
-        """Read, verify and decompress one chunk (pure; safe in any worker)."""
-        container, codec = _chunk_loader_state(
-            self.directory, self.backend, self.suffix, self.buffer_addresses
-        )
-        return _load_verified_chunk(container, codec, chunk_id, self.digests.get(chunk_id))
 
 
 class AtcDecoder:
@@ -419,13 +328,6 @@ class AtcDecoder:
         self._chunk_digests = parse_chunk_digests(metadata)
         self._workers = resolve_workers(workers)
         self._executor_spec = executor
-        self._loader = _ChunkLoader(
-            self.container.path,
-            self.container.backend.name,
-            self.container.suffix,
-            int(metadata.get("chunk_buffer_addresses", 1_000_000)),
-            digests=self._chunk_digests,
-        )
         if cache_chunks < 1:
             raise ConfigurationError("cache_chunks must be >= 1")
         # The prefetch lookahead must fit in the cache, or a prefetched
@@ -436,10 +338,26 @@ class AtcDecoder:
 
     # -- decoding ---------------------------------------------------------------------------
     def _load_chunk(self, chunk_id: int) -> np.ndarray:
-        """Read, verify and decompress one chunk (pure; safe off-thread)."""
-        return _load_verified_chunk(
-            self.container, self._chunk_codec, chunk_id, self._chunk_digests.get(chunk_id)
-        )
+        """Read, verify and decompress one chunk (pure; safe off-thread).
+
+        The single funnel for every decode path (LRU cache, prefetch, bulk
+        ``read_all``): the raw bytes are checked against the recorded digest
+        first, and a chunk that then still fails to decompress is reported
+        as :class:`~repro.errors.IntegrityError` naming the file and chunk
+        rather than leaking a codec exception.
+        """
+        container = self.container
+        expected_digest = self._chunk_digests.get(chunk_id)
+        payload = container.read_chunk(chunk_id, expected_digest=expected_digest)
+        try:
+            return self._chunk_codec.decompress(payload)
+        except CodecError as exc:
+            target = container.path / f"{chunk_id + 1}.{container.suffix}"
+            raise IntegrityError(
+                f"{target}: chunk {chunk_id + 1} is corrupt: {exc}",
+                path=target,
+                chunk_id=chunk_id,
+            ) from exc
 
     def _store_chunk(self, chunk_id: int, decoded: np.ndarray) -> None:
         cache = self._chunk_cache
@@ -473,17 +391,7 @@ class AtcDecoder:
             return True
         from repro.core.parallel import executor_kind
 
-        return executor_kind(self._executor_spec) in ("thread", "process")
-
-    def _load_task(self, engine: "Executor"):
-        """The chunk-load callable to ship to ``engine``.
-
-        Thread and serial engines reuse this decoder's container handle and
-        codec directly; the process engine gets the slim picklable
-        :class:`_ChunkLoader` instead (the decoder itself holds an
-        unbounded cache and open state that must not cross the pipe).
-        """
-        return self._loader if engine.name == "process" else self._load_chunk
+        return executor_kind(self._executor_spec) == "thread"
 
     def iter_intervals(self) -> Iterator[np.ndarray]:
         """Yield the decoded address array of every interval, in order.
@@ -501,14 +409,13 @@ class AtcDecoder:
 
     def _iter_intervals_prefetch(self) -> Iterator[np.ndarray]:
         with executor_scope(self._executor_spec, self._workers) as engine:
-            load = self._load_task(engine)
             handles = {}
             try:
                 for index, record in enumerate(self.records):
                     for upcoming in self.records[index : index + self._lookahead]:
                         chunk_id = upcoming.chunk_id
                         if chunk_id not in handles and chunk_id not in self._chunk_cache:
-                            handles[chunk_id] = engine.submit(load, chunk_id)
+                            handles[chunk_id] = engine.submit(self._load_chunk, chunk_id)
                     handle = handles.pop(record.chunk_id, None)
                     if handle is not None:
                         self._store_chunk(record.chunk_id, handle.result())
@@ -564,7 +471,7 @@ class AtcDecoder:
         missing = [chunk_id for chunk_id in needed if chunk_id not in decoded]
         if missing:
             with executor_scope(self._executor_spec, self._workers) as engine:
-                loaded = engine.map_ordered(self._load_task(engine), missing)
+                loaded = engine.map_ordered(self._load_chunk, missing)
             decoded.update(zip(missing, loaded))
         return [self._interval_piece(record, decoded[record.chunk_id]) for record in self.records]
 

@@ -7,16 +7,18 @@ thread pool only reproduces that overlap for code that releases the GIL
 (the stdlib byte codecs); the numpy-light hot loops — the lossy encoder's
 interval state machine, cache simulation, sweep cells — serialise on the
 GIL.  This module abstracts "where work runs" behind one small interface so
-every fan-out site can be switched between three strategies:
+every fan-out site can be switched between two strategies:
 
 * :class:`SerialExecutor` — runs tasks inline at submission time; the
-  reference behaviour every other executor must be byte-identical to.
+  reference behaviour the thread executor must be byte-identical to.
 * :class:`ThreadExecutor` — a thread pool; best for GIL-releasing work
   (bz2/zlib/lzma compression, large-array numpy kernels, file I/O).
-* :class:`ProcessExecutor` — a process pool with bulk arguments and
-  results moved through :mod:`multiprocessing.shared_memory`
-  (:mod:`repro.core.shmem`), giving true multi-core execution for
-  pure-Python hot loops at near-zero pickle cost for the bulk data.
+
+There is no process executor: threads beat a process pool with
+shared-memory transport on every measured codec and filter case, so
+multi-process execution lives one level up, where it needs no transport —
+``repro sweep run --shard i/N`` runs independent sweep shards as separate
+processes coordinated only through the result store.
 
 Selection is centralised in :func:`resolve_executor`: every CLI ``--executor``
 flag and the ``REPRO_EXECUTOR`` environment variable funnel through it, and
@@ -29,11 +31,8 @@ handles the caller drains in its own order — so the chunk pipeline's hard
 invariant (parallel output byte-identical to serial output) holds by
 construction for every executor.
 
-Failure contract: a task exception propagates to the caller unchanged; a
-*crashed* worker process (killed, segfaulted, broken pipe) surfaces as one
-clear :class:`~repro.errors.ParallelExecutionError` instead of the raw
-``BrokenProcessPool``, and closing an executor always reaps its workers and
-reclaims any shared-memory segments still in flight.
+Failure contract: a task exception propagates to the caller unchanged, and
+closing an executor always joins its worker threads.
 """
 
 from __future__ import annotations
@@ -44,21 +43,19 @@ import os
 from collections import deque
 from typing import Callable, Deque, Iterable, Iterator, List, Optional, Sequence, TypeVar
 
-from repro.errors import ConfigurationError, ParallelExecutionError
+from repro.errors import ConfigurationError
 
 __all__ = [
     "EXECUTOR_NAMES",
     "Executor",
     "SerialExecutor",
     "ThreadExecutor",
-    "ProcessExecutor",
     "TaskHandle",
     "resolve_workers",
     "resolve_executor",
     "resolved_kind",
     "executor_scope",
     "executor_kind",
-    "default_mp_context",
 ]
 
 _T = TypeVar("_T")
@@ -66,7 +63,13 @@ _R = TypeVar("_R")
 
 #: The executor strategies selectable by name (CLI ``--executor`` and the
 #: ``REPRO_EXECUTOR`` environment variable accept exactly these plus ``auto``).
-EXECUTOR_NAMES = ("serial", "thread", "process")
+EXECUTOR_NAMES = ("serial", "thread")
+
+#: Why ``process`` is rejected, and what to use instead.
+_PROCESS_REMOVED = (
+    "the process executor was removed: use 'thread' (the codecs release the GIL), "
+    "or run independent sweep shards as processes with 'repro sweep run --shard i/N'"
+)
 
 
 def resolve_workers(workers: Optional[int]) -> int:
@@ -115,7 +118,7 @@ class Executor(abc.ABC):
     on :meth:`close`; see the module docstring for the exact contracts.
     """
 
-    #: Strategy name ("serial", "thread" or "process").
+    #: Strategy name ("serial" or "thread").
     name: str = "abstract"
 
     def __init__(self, workers: int = 1) -> None:
@@ -126,18 +129,6 @@ class Executor(abc.ABC):
     #: submitted arguments.  Serial execution runs tasks inline, so buffer
     #: reuse is safe there — the encoder relies on this to skip copies.
     is_async: bool = True
-
-    def decouples_at_submit(self, nbytes: int) -> bool:
-        """True when an ``nbytes`` array argument is decoupled from the
-        caller's buffer before :meth:`submit` returns.
-
-        Serial execution runs the task inline (nothing outlives submit);
-        the process executor copies large payloads into shared memory
-        synchronously at submission.  When this returns False the caller
-        must hand over an owned copy — the encoder uses it to copy
-        interval views exactly once, on exactly the paths that need it.
-        """
-        return not self.is_async
 
     @abc.abstractmethod
     def submit(self, fn: Callable[..., _R], *args) -> TaskHandle:
@@ -260,251 +251,6 @@ class ThreadExecutor(Executor):
             self._pool = None
 
 
-def default_mp_context() -> str:
-    """The start method the process executor uses on this platform.
-
-    ``forkserver`` where available (Linux): workers fork from a clean
-    single-threaded server process, so pools are cheap to start *and* safe
-    to create from a threaded parent (plain ``fork`` in a multi-threaded
-    process is deprecated from Python 3.12); ``spawn`` everywhere else.
-    The ``REPRO_MP_CONTEXT`` environment variable overrides the choice.
-    """
-    import multiprocessing
-
-    override = os.environ.get("REPRO_MP_CONTEXT")
-    methods = multiprocessing.get_all_start_methods()
-    if override:
-        if override not in methods:
-            raise ConfigurationError(
-                f"REPRO_MP_CONTEXT={override!r} is not available here (choices: {methods})"
-            )
-        return override
-    return "forkserver" if "forkserver" in methods else "spawn"
-
-
-def _process_invoke(fn: Callable[..., _R], packed_args):
-    """Worker-side trampoline: unpack shm arguments, run, pack the result.
-
-    Runs in the worker process.  Arguments are copied out of their segments
-    without unlinking (the parent owns argument segments); the result's
-    bulk payloads are parked in fresh segments the parent will consume and
-    unlink.
-    """
-    from repro.core import shmem
-
-    args = shmem.import_value(packed_args, unlink=False)
-    result = fn(*args)
-    segments: list = []
-    try:
-        packed = shmem.export_value(result, segments)
-    except BaseException:
-        shmem.release_segments(segments)
-        raise
-    for segment in segments:
-        segment.close()  # drop the worker's mapping; the data stays until unlinked
-    return packed
-
-
-class _ProcessHandle(TaskHandle):
-    """Handle of a process task: owns the argument segments, unpacks results.
-
-    Exactly-once consumption: the first :meth:`result` (or the executor's
-    close-time sweep) imports the packed result and unlinks the worker's
-    segments; later calls replay the cached outcome.
-    """
-
-    def __init__(self, executor: "ProcessExecutor", future, arg_segments: list) -> None:
-        self._executor = executor
-        self._future = future
-        self._arg_segments = arg_segments
-        self._consumed = False
-        self._value = None
-        self._error: Optional[BaseException] = None
-        # Reclaim the argument segments the moment the worker is done with
-        # them (also fires on cancellation), so cancelled pipelines do not
-        # hold segments until close().
-        future.add_done_callback(self._release_args)
-
-    def _release_args(self, _future) -> None:
-        from repro.core import shmem
-
-        shmem.release_segments(self._arg_segments)
-
-    def result(self):
-        """Return the unpacked result (or raise the task/crash error)."""
-        if self._consumed:
-            if self._error is not None:
-                raise self._error
-            return self._value
-        from concurrent.futures.process import BrokenProcessPool
-
-        from repro.core import shmem
-
-        self._consumed = True
-        self._executor._forget(self)
-        try:
-            packed = self._future.result()
-            self._value = shmem.import_value(packed, unlink=True)
-        except BrokenProcessPool as error:
-            self._error = ParallelExecutionError(
-                "a worker process died unexpectedly (crash, kill or broken pipe); "
-                "the pool has been shut down and its children reaped"
-            )
-            raise self._error from error
-        except BaseException as error:
-            self._error = error
-            raise
-        return self._value
-
-    def cancel(self) -> bool:
-        """Abandon the task: cancel if possible, reclaim results regardless.
-
-        Argument segments are reclaimed by the done callback either way.
-        A task that already finished (or finishes later despite the cancel
-        attempt) has its parked result segments discarded as soon as they
-        exist — the caller is walking away, so waiting for the executor's
-        close() would hold shared memory for the lifetime of a borrowed
-        pool.
-        """
-        cancelled = self._future.cancel()
-        if not self._consumed:
-            # Fires immediately when the future is already done (including
-            # just-cancelled), later when a running task completes.
-            self._future.add_done_callback(self._discard_callback)
-        return cancelled
-
-    def _discard_callback(self, _future) -> None:
-        self._executor._forget(self)
-        self.discard()
-
-    def discard(self) -> None:
-        """Drop a finished-but-unconsumed result, unlinking its segments."""
-        if self._consumed:
-            return
-        self._consumed = True
-        if not self._future.done():
-            return
-        from repro.core import shmem
-
-        try:
-            packed = self._future.result()
-        except BaseException:  # noqa: BLE001 - nothing to reclaim on failure
-            return
-        shmem.discard_exported(packed)
-
-
-class ProcessExecutor(Executor):
-    """Process-pool execution with shared-memory bulk transport.
-
-    True multi-core execution for pure-Python hot loops: each task's
-    function and small arguments travel through the ordinary pickle pipe,
-    while ``uint64`` address chunks and compressed blobs ride
-    :mod:`multiprocessing.shared_memory` segments (one copy in, one copy
-    out, nothing through the pipe — see :mod:`repro.core.shmem`).
-
-    The pool is created lazily on first submission, uses the
-    :func:`default_mp_context` start method, and :meth:`close` always
-    drains in-flight segments and joins every child, so no orphan
-    processes or leaked segments survive the executor.
-    """
-
-    name = "process"
-
-    def __init__(self, workers: int = 0, mp_context: Optional[str] = None) -> None:
-        super().__init__(workers)
-        self._mp_context = mp_context
-        self._pool = None
-        self._closed = False
-        self._outstanding: List[_ProcessHandle] = []
-
-    def _ensure_pool(self):
-        if self._closed:
-            raise ConfigurationError("cannot submit tasks to a closed executor")
-        if self._pool is None:
-            import multiprocessing
-            from concurrent.futures import ProcessPoolExecutor
-
-            context = multiprocessing.get_context(self._mp_context or default_mp_context())
-            self._pool = ProcessPoolExecutor(max_workers=self.workers, mp_context=context)
-        return self._pool
-
-    def _forget(self, handle: _ProcessHandle) -> None:
-        try:
-            self._outstanding.remove(handle)
-        except ValueError:
-            pass
-
-    def decouples_at_submit(self, nbytes: int) -> bool:
-        """Large arrays are copied into shared memory inside :meth:`submit`
-        (synchronously), so the caller's buffer is free immediately; small
-        arrays ride the pickle pipe, which serialises later on the pool's
-        feeder thread — those still need an owned copy from the caller."""
-        from repro.core import shmem
-
-        return nbytes >= shmem.shm_min_bytes()
-
-    def submit(self, fn: Callable[..., _R], *args) -> TaskHandle:
-        """Schedule ``fn(*args)``, parking bulk arguments in shared memory.
-
-        ``fn`` and its non-bulk arguments must be picklable (module-level
-        functions, bound methods of picklable objects).  Bulk payloads are
-        copied into segments *before* this returns, so callers may reuse
-        argument buffers immediately only when they sent copies — the
-        pipeline copies interval views first, exactly as for threads.
-        """
-        from repro.core import shmem
-
-        pool = self._ensure_pool()
-        segments: list = []
-        try:
-            packed = shmem.export_value(tuple(args), segments)
-            future = pool.submit(_process_invoke, fn, packed)
-        except BaseException:
-            shmem.release_segments(segments)
-            raise
-        handle = _ProcessHandle(self, future, segments)
-        self._outstanding.append(handle)
-        return handle
-
-    def close(self, cancel: bool = False) -> None:
-        """Shut the pool down, reap children, reclaim in-flight segments.
-
-        Safe after worker crashes and double closes; with ``cancel=True``
-        queued tasks are dropped first.  Results that finished but were
-        never consumed (a cancelled pipeline) have their shared-memory
-        segments unlinked here, so abandoning work never leaks segments.
-        """
-        if self._closed and self._pool is None:
-            return
-        self._closed = True
-        pool, self._pool = self._pool, None
-        if pool is None:
-            return
-        try:
-            # One shutdown call only: it drops the pool's internal
-            # references at the end, so a second call could no longer join
-            # the workers.  ``wait=True`` joins every child (a no-op on
-            # already-dead children after a BrokenProcessPool); with
-            # ``cancel`` the queued-but-unstarted tasks are dropped first.
-            pool.shutdown(wait=True, cancel_futures=cancel)
-        finally:
-            leftovers, self._outstanding = self._outstanding, []
-            for handle in leftovers:
-                handle.discard()
-
-
-def _executor_from_name(name: str, workers: int) -> Executor:
-    if name == "serial":
-        return SerialExecutor()
-    if name == "thread":
-        return ThreadExecutor(workers)
-    if name == "process":
-        return ProcessExecutor(workers)
-    raise ConfigurationError(
-        f"unknown executor {name!r}; choose from {('auto',) + EXECUTOR_NAMES}"
-    )
-
-
 def resolved_kind(spec=None, workers: Optional[int] = 1) -> str:
     """The concrete strategy a (spec, workers) pair resolves to, by name.
 
@@ -514,8 +260,8 @@ def resolved_kind(spec=None, workers: Optional[int] = 1) -> str:
     reuse it so recorded provenance can never drift from what actually ran.
 
     Example:
-        >>> resolved_kind("process", workers=1)
-        'process'
+        >>> resolved_kind("thread", workers=1)
+        'thread'
         >>> resolved_kind(None, workers=4)   # auto, no REPRO_EXECUTOR set
         'thread'
     """
@@ -532,7 +278,7 @@ def resolve_executor(spec=None, workers: Optional[int] = 1) -> Executor:
 
     * an :class:`Executor` instance passes through unchanged (the caller
       owns its lifecycle — see :func:`executor_scope`);
-    * ``"serial"`` / ``"thread"`` / ``"process"`` select a strategy
+    * ``"serial"`` / ``"thread"`` select a strategy
       explicitly (``workers`` sizes the pool; ``0``/``None`` = CPU count);
     * ``None`` consults the ``REPRO_EXECUTOR`` environment variable, then
       falls back to ``"auto"``;
@@ -553,7 +299,9 @@ def resolve_executor(spec=None, workers: Optional[int] = 1) -> Executor:
         return spec
     if spec is not None and not isinstance(spec, str):
         raise ConfigurationError(f"executor must be a name or Executor instance, got {spec!r}")
-    return _executor_from_name(resolved_kind(spec, workers), resolve_workers(workers))
+    if resolved_kind(spec, workers) == "serial":
+        return SerialExecutor()
+    return ThreadExecutor(resolve_workers(workers))
 
 
 class executor_scope:
@@ -584,13 +332,19 @@ class executor_scope:
 def executor_kind(spec) -> str:
     """The strategy name a spec would resolve to, without creating a pool.
 
-    Used by call sites that must refuse (or downgrade) process execution —
-    e.g. a sweep with an in-process ``trace_provider`` callback cannot ship
-    its closure to another interpreter.
+    Validates the name (``REPRO_EXECUTOR`` included, for a ``None`` spec):
+    unknown names, and the removed ``process`` executor, raise
+    :class:`~repro.errors.ConfigurationError`.
+
+    Example:
+        >>> executor_kind("thread")
+        'thread'
     """
     if isinstance(spec, Executor):
         return spec.name
     name = (spec or os.environ.get("REPRO_EXECUTOR") or "auto").strip().lower()
+    if name == "process":
+        raise ConfigurationError(_PROCESS_REMOVED)
     if name not in ("auto",) + EXECUTOR_NAMES:
         raise ConfigurationError(
             f"unknown executor {name!r}; choose from {('auto',) + EXECUTOR_NAMES}"

@@ -61,10 +61,8 @@ class LosslessCodec:
 
         The bulk entry point of the parallel chunk pipeline: with
         ``workers > 1`` (or an explicit ``executor``) the intervals are
-        compressed concurrently — on threads (the stdlib byte-level codecs
-        release the GIL) or, with the process executor, on other cores with
-        the interval arrays and compressed payloads moved through shared
-        memory.  ``intervals`` may be any iterable, including a lazy
+        compressed concurrently on threads (the stdlib byte-level codecs
+        release the GIL).  ``intervals`` may be any iterable, including a lazy
         generator: it is consumed through a bounded submission window
         (``2 * workers`` tasks in flight), never materialised up front, so
         the streaming pipeline's bounded-memory guarantee holds for

@@ -87,9 +87,8 @@ class LossyConfig:
             ``"thread"`` (the stdlib codecs release the GIL, overlapping
             chunk compression with trace consumption the same way the
             paper's external ``bzip2 -c`` process overlaps with the
-            tracer), ``"process"`` (true multi-core with shared-memory
-            chunk transport), or ``None`` for the ``REPRO_EXECUTOR``
-            environment variable / auto default.  Containers are
+            tracer), or ``None`` for the ``REPRO_EXECUTOR`` environment
+            variable / auto default.  Containers are
             byte-identical across strategies by construction.
     """
 

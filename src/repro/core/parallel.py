@@ -4,10 +4,9 @@ The paper's ATC tool overlaps compression with trace generation by piping
 bytesorted blocks through an external ``bzip2 -c`` process; the operating
 system runs the compressor on another core.  This module reproduces that
 overlap in-process on top of the pluggable executor engine
-(:mod:`repro.core.executors`): work can run inline (``serial``), on a
-thread pool (``thread`` — the stdlib codecs release the GIL), or on a
-process pool with shared-memory chunk transport (``process`` — true
-multi-core for the pure-Python hot loops).
+(:mod:`repro.core.executors`): work runs either inline (``serial``) or on
+a thread pool (``thread`` — the stdlib codecs release the GIL, so the
+compressor overlaps the caller just as the external process does).
 
 Two primitives are provided on top of the engine:
 
@@ -35,11 +34,9 @@ from typing import Callable, Deque, List, Optional, Sequence, Tuple, TypeVar
 from repro.core.executors import (
     EXECUTOR_NAMES,
     Executor,
-    ProcessExecutor,
     SerialExecutor,
     TaskHandle,
     ThreadExecutor,
-    default_mp_context,
     executor_kind,
     executor_scope,
     resolve_executor,
@@ -52,13 +49,11 @@ __all__ = [
     "Executor",
     "SerialExecutor",
     "ThreadExecutor",
-    "ProcessExecutor",
     "TaskHandle",
     "resolve_workers",
     "resolve_executor",
     "executor_scope",
     "executor_kind",
-    "default_mp_context",
     "map_ordered",
     "imap_ordered",
     "OrderedChunkWriter",
@@ -78,9 +73,8 @@ def map_ordered(
 
     With one worker (or fewer than two items) and no explicit executor this
     is a plain list comprehension; otherwise the work runs on the resolved
-    executor — threads by default, processes when selected via ``executor``
-    or ``REPRO_EXECUTOR`` (in which case ``fn`` and the items must be
-    picklable; bulk arrays and byte strings ride shared memory).
+    executor (threads unless ``executor`` or ``REPRO_EXECUTOR`` says
+    ``serial``).
 
     Args:
         fn: The per-item function.
@@ -150,7 +144,8 @@ class OrderedChunkWriter:
             thread, strictly in the order chunks were submitted.
         workers: Pool size when the writer creates its own executor; ``1``
             (with no explicit ``executor``) selects inline serial execution,
-            the reference behaviour.
+            the reference behaviour, and ``0``/``None`` means one worker
+            per CPU.
         max_pending: Maximum number of chunks in flight before :meth:`submit`
             blocks on the oldest one (defaults to ``2 * workers``), bounding
             the memory held by buffered intervals and finished payloads.
@@ -166,11 +161,9 @@ class OrderedChunkWriter:
         max_pending: Optional[int] = None,
         executor=None,
     ) -> None:
-        if isinstance(workers, int) and workers < 1 and executor is None:
-            raise ConfigurationError("OrderedChunkWriter needs at least one worker")
         self._write = write
         self._owns_executor = not isinstance(executor, Executor)
-        self._executor = resolve_executor(executor, workers)
+        self._executor = resolve_executor(executor, resolve_workers(workers))
         self.workers = self._executor.workers if self._executor.is_async else 1
         self._max_pending = max_pending if max_pending is not None else 2 * max(1, self.workers)
         self._pending: Deque[Tuple[int, TaskHandle]] = deque()
@@ -186,18 +179,8 @@ class OrderedChunkWriter:
         """
         return self._executor.is_async
 
-    def decouples_at_submit(self, nbytes: int) -> bool:
-        """Whether an ``nbytes`` array is safe to reuse after :meth:`submit`
-        (see :meth:`repro.core.executors.Executor.decouples_at_submit`)."""
-        return self._executor.decouples_at_submit(nbytes)
-
     def submit(self, chunk_id: int, task: Callable[..., bytes], *args) -> None:
-        """Queue one chunk; ``task(*args)`` produces its compressed payload.
-
-        On the process executor ``task`` and ``args`` must be picklable;
-        bulk arrays among ``args`` are parked in shared memory before this
-        returns (see :meth:`repro.core.executors.ProcessExecutor.submit`).
-        """
+        """Queue one chunk; ``task(*args)`` produces its compressed payload."""
         if self._closed:
             raise ConfigurationError("cannot submit chunks to a closed OrderedChunkWriter")
         if not self._executor.is_async:
@@ -227,9 +210,8 @@ class OrderedChunkWriter:
         """Drop all in-flight chunks without writing them (error path).
 
         Queued-but-unstarted tasks are cancelled; finished results are
-        discarded (including their shared-memory segments); the pool is
-        reaped.  A borrowed executor is left open but its pending handles
-        are cancelled.
+        discarded; the pool is shut down.  A borrowed executor is left open
+        but its pending handles are cancelled.
         """
         self._closed = True
         for _, handle in self._pending:

@@ -69,7 +69,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable, Dict, List, Optional, Tuple
 
-from repro.core.parallel import executor_kind, map_ordered
+from repro.core.parallel import map_ordered
 from repro.errors import ConfigurationError
 from repro.experiments.plan import ExperimentUnit, default_code_version, expand_sweep
 from repro.experiments.results import SweepResult
@@ -518,18 +518,6 @@ class DistributedSweepRunner(SweepRunner):
         self._fault_after: Optional[int] = int(fault_after) if fault_after else None
         self._eval_log = os.environ.get(EVAL_LOG_ENV, "").strip() or None
 
-    def _effective_executor(self):
-        """Thread-cap the group fan-out: leases and counters are in-process.
-
-        Multi-*process* execution is the point of the distributed runner —
-        it comes from launching more worker processes (``repro sweep run
-        --shard``), each with its own lease identity, not from shipping
-        this worker's lease state across a process pool.
-        """
-        if executor_kind(self.executor) == "process":
-            return "thread"
-        return super()._effective_executor()
-
     # -- the work loop ----------------------------------------------------------------
     def run_worker(self) -> WorkerReport:
         """Drain this worker's share of the sweep (plus stolen stragglers).
@@ -592,7 +580,7 @@ class DistributedSweepRunner(SweepRunner):
             lambda group: self._run_group_leased(group, stolen, report),
             groups,
             workers=self.workers,
-            executor=self._effective_executor(),
+            executor=self.executor,
         )
 
     def _run_group_leased(self, group, stolen: bool, report: WorkerReport) -> None:

@@ -9,8 +9,9 @@
    groups with at least one uncached cell;
 3. groups run concurrently on the executor engine via
    :func:`repro.core.parallel.map_ordered` — threads by default (trace
-   generation and the byte-level codecs release the GIL), or worker
-   processes for true multi-core execution of the pure-Python cells;
+   generation and the byte-level codecs release the GIL); separate
+   processes run whole shards instead (``repro sweep run --shard i/N``,
+   :mod:`repro.experiments.distributed`);
 4. each finished cell is written to the :class:`~repro.experiments.store.
    ResultStore`, so an interrupted sweep resumes from the completed cells
    and a repeated run completes near-instantly from cache;
@@ -119,12 +120,8 @@ class SweepRunner:
         workers: Number of (workload, filter) groups evaluated concurrently;
             ``0``/``None`` means one per CPU.
         executor: Execution strategy for the group fan-out: ``"serial"``,
-            ``"thread"``, ``"process"`` (true multi-core; the spec, store
-            path and group cells are shipped to worker interpreters), or
-            ``None`` for the ``REPRO_EXECUTOR``/auto default.  A sweep with
-            an in-process ``trace_provider`` closure cannot cross the
-            process boundary, so process execution downgrades to threads in
-            that case.  Results are identical for every strategy.
+            ``"thread"``, or ``None`` for the ``REPRO_EXECUTOR``/auto
+            default.  Results are identical for every strategy.
         code_version: Version string mixed into unit hashes; defaults to the
             package version, so upgrading the package invalidates the cache.
         trace_provider: Optional ``(workload, filter) -> array or None``
@@ -150,21 +147,10 @@ class SweepRunner:
         self.plan: ExperimentPlan = expand_sweep(spec)
         self.store: Optional[ResultStore] = ResultStore(cache_dir) if cache_dir is not None else None
         self.workers = resolve_workers(workers)
+        executor_kind(executor)  # validate the name (and REPRO_EXECUTOR) eagerly
         self.executor = executor
         self.code_version = code_version if code_version is not None else default_code_version()
         self.trace_provider = trace_provider
-
-    def _effective_executor(self):
-        """The group-level executor, downgraded when state cannot cross.
-
-        A ``trace_provider`` is an in-process cache hook (often a closure
-        over a harness); shipping it to another interpreter is impossible,
-        so an explicit process selection falls back to threads — same
-        results, shared address space.
-        """
-        if self.trace_provider is not None and executor_kind(self.executor) == "process":
-            return "thread"
-        return self.executor
 
     # -- traces -----------------------------------------------------------------------
     def _filtered_trace(self, workload: WorkloadSpec, filter_spec: FilterSpec) -> np.ndarray:
@@ -247,7 +233,7 @@ class SweepRunner:
         """
         groups = self.plan.groups()
         per_group = map_ordered(
-            self._run_group, groups, workers=self.workers, executor=self._effective_executor()
+            self._run_group, groups, workers=self.workers, executor=self.executor
         )
         by_label = {row_unit.label: row
                     for group_rows, (_, units) in zip(per_group, groups)

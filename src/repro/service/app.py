@@ -19,8 +19,8 @@ Endpoints (see ``docs/service.md`` for the full contract):
 Three invariants hold everywhere:
 
 1. **The event loop never computes.**  Encoding/decoding runs on worker
-   threads (which in turn drive the shared executor engine's thread or
-   process pool); the loop only shuttles socket bytes and spools bodies.
+   threads (which in turn drive the shared executor engine's thread
+   pool); the loop only shuttles socket bytes and spools bodies.
 2. **Memory per connection is bounded.**  Request bodies stream to a
    per-request spool file chunk by chunk; decoded traces stream back the
    same way.  No payload is ever held in memory whole (packed containers
@@ -86,8 +86,8 @@ class ServiceConfig:
         port: TCP port; ``0`` picks an ephemeral port (tests, benchmarks).
         max_connections: Connection-gate capacity; excess gets 429.
         workers: Worker count handed to the shared codec executor.
-        executor: Executor spec (``serial``/``thread``/``process``/``None``
-            for the ``REPRO_EXECUTOR``/auto default) shared by every job.
+        executor: Executor spec (``serial``/``thread``/``None`` for the
+            ``REPRO_EXECUTOR``/auto default) shared by every job.
         request_timeout: Per-request processing budget in seconds; ``None``
             disables the timeout.
         max_body_bytes: Cap on any request body; overruns answer 413.

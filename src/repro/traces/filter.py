@@ -70,22 +70,12 @@ class FilterResult:
 
 
 class CacheFilter:
-    """L1I + L1D filter producing cache-filtered block-address traces.
-
-    ``workers``/``executor`` select the kernel execution strategy for the
-    fused simulation (see :func:`~repro.cache.cache.access_batches`): the
-    default ``workers=1`` keeps the serial inline path, while e.g.
-    ``workers=4, executor="process"`` shards the set-parallel kernel
-    across a process pool by row index.  Output is bit-identical for
-    every strategy.
-    """
+    """L1I + L1D filter producing cache-filtered block-address traces."""
 
     def __init__(
         self,
         instruction_config: CacheConfig = PAPER_L1_CONFIG,
         data_config: CacheConfig = PAPER_L1_CONFIG,
-        workers: int = 1,
-        executor=None,
     ) -> None:
         if instruction_config.block_bytes != data_config.block_bytes:
             raise ConfigurationError("instruction and data caches must share the block size")
@@ -93,8 +83,6 @@ class CacheFilter:
         self.data_cache = SetAssociativeCache(data_config)
         self.block_bytes = data_config.block_bytes
         self._block_shift = self.block_bytes.bit_length() - 1
-        self.workers = workers
-        self.executor = executor
 
     def miss_blocks(self, stream: ReferenceStream) -> np.ndarray:
         """Filter one reference stream and return its miss-block array.
@@ -121,8 +109,6 @@ class CacheFilter:
         instruction_hits, data_hits = access_batches(
             (self.instruction_cache, self.data_cache),
             (blocks[instruction_positions], blocks[data_positions]),
-            workers=self.workers,
-            executor=self.executor,
         )
         miss_mask[instruction_positions] = ~instruction_hits
         miss_mask[data_positions] = ~data_hits
@@ -208,12 +194,8 @@ class StreamingCacheFilter:
         self,
         instruction_config: CacheConfig = PAPER_L1_CONFIG,
         data_config: CacheConfig = PAPER_L1_CONFIG,
-        workers: int = 1,
-        executor=None,
     ) -> None:
-        self.cache_filter = CacheFilter(
-            instruction_config, data_config, workers=workers, executor=executor
-        )
+        self.cache_filter = CacheFilter(instruction_config, data_config)
 
     def filter_chunk(self, chunk: ReferenceStream) -> np.ndarray:
         """Filter one chunk, carrying cache state from previous chunks."""
@@ -254,12 +236,6 @@ def filter_reference_stream(
     return CacheFilter(instruction_config, data_config).filter(stream)
 
 
-def _filter_stream_task(task) -> FilterResult:
-    """Picklable per-stream batch-filter cell (runs in any executor worker)."""
-    stream, instruction_config, data_config = task
-    return filter_reference_stream(stream, instruction_config, data_config)
-
-
 def filter_reference_streams(
     streams,
     instruction_config: CacheConfig = PAPER_L1_CONFIG,
@@ -271,11 +247,9 @@ def filter_reference_streams(
 
     Each stream is filtered through its own fresh L1I/L1D pair (streams are
     independent workloads, exactly the paper's per-benchmark setup), so the
-    cells can fan out on the executor engine — including the process
-    executor, where cache simulation is a pure-Python/numpy hot loop that
-    otherwise serialises on the GIL.  The per-stream results are identical
-    to ``[filter_reference_stream(s, ...) for s in streams]`` for every
-    strategy.
+    cells can fan out on the executor engine.  The per-stream results are
+    identical to ``[filter_reference_stream(s, ...) for s in streams]`` for
+    every strategy.
 
     Args:
         streams: Iterable of :class:`~repro.traces.synthetic.ReferenceStream`.
@@ -290,8 +264,10 @@ def filter_reference_streams(
     """
     from repro.core.parallel import map_ordered
 
-    tasks = [(stream, instruction_config, data_config) for stream in streams]
-    return map_ordered(_filter_stream_task, tasks, workers=workers, executor=executor)
+    def filter_one(stream) -> FilterResult:
+        return filter_reference_stream(stream, instruction_config, data_config)
+
+    return map_ordered(filter_one, streams, workers=workers, executor=executor)
 
 
 def filter_reference_streams_fused(
@@ -302,10 +278,10 @@ def filter_reference_streams_fused(
     """Filter several independent streams in one fused kernel pass.
 
     Where :func:`filter_reference_streams` fans the per-stream cells out
-    across executor workers (real cores, process pools), this is the
-    *single-core* batch form: every stream gets its own fresh L1I/L1D pair
-    (the paper's per-benchmark filters, or per-core filters in a multicore
-    trace collection), and all those caches march together in one
+    across executor workers, this is the *single-core* batch form: every
+    stream gets its own fresh L1I/L1D pair (the paper's per-benchmark
+    filters, or per-core filters in a multicore trace collection), and all
+    those caches march together in one
     :func:`~repro.cache.cache.access_batches` row space.  The set-parallel
     kernel's cost is dominated by its per-time-step overhead, so widening
     the row space with more independent caches raises throughput almost
@@ -388,24 +364,6 @@ def filtered_spec_like_trace(
     return filter_reference_stream(stream, instruction_config, data_config).trace
 
 
-def _spec_like_trace_task(task):
-    """Picklable generate+filter cell: returns ``(name, miss_blocks)``.
-
-    The bulk payload is returned as a bare ``uint64`` array so the process
-    executor ships it back through shared memory; the caller re-wraps it
-    into an :class:`~repro.traces.trace.AddressTrace`.
-    """
-    name, reference_count, seed, instruction_config, data_config = task
-    trace = filtered_spec_like_trace(
-        name,
-        reference_count,
-        seed=seed,
-        instruction_config=instruction_config,
-        data_config=data_config,
-    )
-    return name, trace.addresses
-
-
 def filter_spec_like_traces(
     names,
     reference_count: int,
@@ -420,10 +378,8 @@ def filter_spec_like_traces(
     The batch form of :func:`filtered_spec_like_trace` — the whole-suite
     fan-out the benchmark harness and sweep runner pay for up front.  Each
     workload is generated and filtered independently (fresh caches per
-    workload), so cells parallelise perfectly; on the process executor the
-    generation + simulation hot loops finally use real cores, and each
-    filtered trace rides shared memory back to the caller.  Results are
-    identical to the serial loop for every strategy.
+    workload), so cells parallelise perfectly.  Results are identical to
+    the serial loop for every strategy.
 
     Args:
         names: Workload names, e.g. ``["429.mcf", "462.libquantum"]``.
@@ -441,12 +397,18 @@ def filter_spec_like_traces(
     """
     from repro.core.parallel import map_ordered
 
-    tasks = [
-        (str(name), int(reference_count), int(seed), instruction_config, data_config)
-        for name in names
-    ]
-    results = map_ordered(_spec_like_trace_task, tasks, workers=workers, executor=executor)
-    return {name: AddressTrace(addresses, name=name) for name, addresses in results}
+    def generate_and_filter(name: str) -> AddressTrace:
+        return filtered_spec_like_trace(
+            name,
+            int(reference_count),
+            seed=int(seed),
+            instruction_config=instruction_config,
+            data_config=data_config,
+        )
+
+    names = [str(name) for name in names]
+    traces = map_ordered(generate_and_filter, names, workers=workers, executor=executor)
+    return dict(zip(names, traces))
 
 
 def iter_filtered_spec_like_chunks(

@@ -1,16 +1,16 @@
-"""Cross-executor equivalence: serial vs thread vs process, byte for byte.
+"""Cross-executor equivalence: serial vs thread, byte for byte.
 
 The pipeline's hard invariant is that the executor strategy is invisible in
 the output: for every mode (lossless, lossy), every chunk/interval size and
 every strategy, the ``.atc`` container bytes are identical.  This module
 pins that invariant three ways:
 
-* a serial/thread/process matrix over chunk sizes {1, 7, 4096} for both
-  modes, asserting container digests equal;
-* the process executor reproducing the *committed golden fixtures* byte
+* a serial/thread matrix over chunk sizes {1, 7, 4096} for both modes,
+  asserting container digests equal;
+* the thread executor reproducing the *committed golden fixtures* byte
   for byte (the strongest anchor: not just self-consistency, but the
   on-disk format as committed);
-* a hypothesis property run under a shared process executor.
+* a hypothesis property run under a shared thread executor.
 """
 
 from __future__ import annotations
@@ -25,16 +25,17 @@ from hypothesis import strategies as st
 
 from repro.core.atc import MODE_LOSSLESS, MODE_LOSSY, AtcDecoder, AtcEncoder
 from repro.core.lossy import LossyConfig
-from repro.core.parallel import ProcessExecutor
+from repro.core.parallel import ThreadExecutor
 
 from test_golden_containers import (
     GOLDEN_VARIANTS,
     golden_addresses,
     golden_config,
     golden_directory,
+    golden_v1_directory,
 )
 
-EXECUTORS = ("serial", "thread", "process")
+EXECUTORS = ("serial", "thread")
 
 #: (chunk size, trace length): tiny chunks get shorter traces so the
 #: lossless matrix cell stays at hundreds — not thousands — of chunk tasks.
@@ -42,9 +43,9 @@ CHUNK_MATRIX = ((1, 120), (7, 700), (4096, 3000))
 
 
 @pytest.fixture(scope="module")
-def process_executor():
-    """One process pool shared by every matrix cell (startup amortised)."""
-    with ProcessExecutor(2) as executor:
+def thread_executor():
+    """One thread pool shared by every test of the module."""
+    with ThreadExecutor(2) as executor:
         yield executor
 
 
@@ -72,54 +73,53 @@ def _encode(trace, directory, mode, chunk, executor) -> str:
 class TestCrossExecutorMatrix:
     @pytest.mark.parametrize("mode", [MODE_LOSSLESS, MODE_LOSSY])
     @pytest.mark.parametrize("chunk,length", CHUNK_MATRIX)
-    def test_containers_byte_identical_across_executors(
-        self, tmp_path, process_executor, mode, chunk, length
-    ):
+    def test_containers_byte_identical_across_executors(self, tmp_path, mode, chunk, length):
         trace = golden_addresses()[:length]
         digests = {}
         for name in EXECUTORS:
             directory = tmp_path / f"{mode}-{chunk}-{name}"
-            executor = process_executor if name == "process" else name
-            digests[name] = _encode(trace, directory, mode, chunk, executor)
+            digests[name] = _encode(trace, directory, mode, chunk, name)
         assert digests["thread"] == digests["serial"], (mode, chunk)
-        assert digests["process"] == digests["serial"], (mode, chunk)
 
     @pytest.mark.parametrize("mode", [MODE_LOSSLESS, MODE_LOSSY])
     @pytest.mark.parametrize("chunk,length", CHUNK_MATRIX)
-    def test_decode_identical_across_executors(
-        self, tmp_path, process_executor, mode, chunk, length
-    ):
+    def test_decode_identical_across_executors(self, tmp_path, mode, chunk, length):
         trace = golden_addresses()[:length]
         directory = tmp_path / "container"
         _encode(trace, directory, mode, chunk, "serial")
         reference = AtcDecoder(directory, workers=1).read_all()
         for name in EXECUTORS:
-            executor = process_executor if name == "process" else name
-            decoded = AtcDecoder(directory, workers=2, executor=executor).read_all()
+            decoded = AtcDecoder(directory, workers=2, executor=name).read_all()
             assert np.array_equal(decoded, reference), (mode, chunk, name)
         if mode == MODE_LOSSLESS:
             assert np.array_equal(reference, trace)
 
 
-class TestProcessExecutorMatchesGoldenFixtures:
-    def test_process_encoder_reproduces_committed_containers(self, tmp_path, process_executor):
-        """The strongest anchor: the process pipeline must reproduce the
+class TestThreadExecutorMatchesGoldenFixtures:
+    @pytest.mark.parametrize(
+        "format_version,committed_directory", [(2, golden_directory), (1, golden_v1_directory)]
+    )
+    def test_thread_encoder_reproduces_committed_containers(
+        self, tmp_path, thread_executor, format_version, committed_directory
+    ):
+        """The strongest anchor: the thread pipeline must reproduce the
         committed on-disk golden bytes, not merely agree with itself."""
         for mode_name, mode, backend in GOLDEN_VARIANTS:
-            committed = golden_directory(mode_name, backend)
+            committed = committed_directory(mode_name, backend)
             fresh = tmp_path / f"{mode_name}_{backend}"
-            config = golden_config(backend)
-            with AtcEncoder(fresh, mode=mode, config=config, executor=process_executor) as encoder:
+            with AtcEncoder(
+                fresh,
+                mode=mode,
+                config=golden_config(backend),
+                executor=thread_executor,
+                format_version=format_version,
+            ) as encoder:
                 encoder.code_many(golden_addresses())
             expected = {entry.name: entry.read_bytes() for entry in sorted(committed.iterdir())}
             actual = {entry.name: entry.read_bytes() for entry in sorted(fresh.iterdir())}
-            assert actual == expected, f"{mode_name}_{backend} drifted under the process executor"
-
-
-@pytest.fixture(scope="module")
-def property_executor():
-    with ProcessExecutor(2) as executor:
-        yield executor
+            assert actual == expected, (
+                f"v{format_version} {mode_name}_{backend} drifted under the thread executor"
+            )
 
 
 @settings(max_examples=12, deadline=None, suppress_health_check=[HealthCheck.too_slow])
@@ -127,8 +127,8 @@ def property_executor():
     addresses=st.lists(st.integers(min_value=0, max_value=(1 << 64) - 1), max_size=120),
     interval_length=st.integers(min_value=1, max_value=31),
 )
-def test_process_roundtrip_property(tmp_path_factory, property_executor, addresses, interval_length):
-    """Lossless process-executor encode/decode is exact for arbitrary traces."""
+def test_thread_roundtrip_property(tmp_path_factory, thread_executor, addresses, interval_length):
+    """Lossless thread-executor encode/decode is exact for arbitrary traces."""
     config = LossyConfig(
         interval_length=interval_length,
         chunk_buffer_addresses=interval_length,
@@ -136,7 +136,7 @@ def test_process_roundtrip_property(tmp_path_factory, property_executor, address
         workers=2,
     )
     directory = tmp_path_factory.mktemp("prop") / "container"
-    with AtcEncoder(directory, mode=MODE_LOSSLESS, config=config, executor=property_executor) as enc:
+    with AtcEncoder(directory, mode=MODE_LOSSLESS, config=config, executor=thread_executor) as enc:
         enc.code_many(np.array(addresses, dtype=np.uint64))
-    decoded = AtcDecoder(directory, workers=2, executor=property_executor).read_all()
+    decoded = AtcDecoder(directory, workers=2, executor=thread_executor).read_all()
     assert decoded.tolist() == addresses

@@ -1,19 +1,9 @@
-"""Tests of the executor engine: selection, ordering, transport, shutdown.
-
-The shutdown cases are the regression suite for the "clean worker-pool
-teardown" contract: a crashing worker, an abandoned pipeline or an aborted
-context must propagate one clear error, reap every child process and leave
-no shared-memory segment behind.
-"""
+"""Tests of the executor engine: selection, ordering, errors, shutdown."""
 
 from __future__ import annotations
 
-import multiprocessing
-import os
-import signal
-import sys
+import threading
 import time
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -21,18 +11,14 @@ import pytest
 from repro.core.executors import (
     EXECUTOR_NAMES,
     Executor,
-    ProcessExecutor,
     SerialExecutor,
     ThreadExecutor,
     executor_kind,
     executor_scope,
     resolve_executor,
 )
-from repro.core.parallel import OrderedChunkWriter, map_ordered
-from repro.core import shmem
-from repro.errors import ConfigurationError, ParallelExecutionError
-
-_SHM_DIR = Path("/dev/shm")
+from repro.core.parallel import map_ordered
+from repro.errors import ConfigurationError
 
 
 def _double(value):
@@ -43,38 +29,13 @@ def _boom(_value):
     raise ValueError("task failure")
 
 
-def _kill_self(_value):
-    os.kill(os.getpid(), signal.SIGKILL)
-
-
 def _slow_identity(value):
     time.sleep(0.05)
     return value
 
 
-def _array_total(array):
-    return int(array.sum())
-
-
-def _echo_array(array):
-    return array
-
-
-def _shm_segment_names():
-    if not _SHM_DIR.is_dir():
-        return set()
-    return {entry.name for entry in _SHM_DIR.iterdir()}
-
-
-@pytest.fixture()
-def shm_snapshot():
-    """Assert that a test leaves no new /dev/shm segments behind."""
-    if not _SHM_DIR.is_dir():
-        pytest.skip("/dev/shm not available on this platform")
-    before = _shm_segment_names()
-    yield
-    leaked = _shm_segment_names() - before
-    assert not leaked, f"leaked shared-memory segments: {sorted(leaked)}"
+def _pool_threads():
+    return [t for t in threading.enumerate() if t.name.startswith("ThreadPoolExecutor")]
 
 
 class TestResolveExecutor:
@@ -96,20 +57,34 @@ class TestResolveExecutor:
             executor.close()
 
     def test_default_consults_the_environment(self, monkeypatch):
-        monkeypatch.setenv("REPRO_EXECUTOR", "process")
-        executor = resolve_executor(None, workers=2)
+        monkeypatch.setenv("REPRO_EXECUTOR", "thread")
+        executor = resolve_executor(None, workers=1)
         try:
-            assert executor.name == "process"
+            assert executor.name == "thread"
         finally:
             executor.close()
         monkeypatch.delenv("REPRO_EXECUTOR")
         assert resolve_executor(None, workers=1).name == "serial"
 
-    def test_unknown_name_rejected(self):
+    @pytest.mark.parametrize("name", ["fibers", "process"])
+    def test_unknown_name_rejected(self, name):
         with pytest.raises(ConfigurationError):
-            resolve_executor("fibers", workers=2)
+            resolve_executor(name, workers=2)
         with pytest.raises(ConfigurationError):
-            executor_kind("fibers")
+            executor_kind(name)
+
+    @pytest.mark.parametrize("via_environment", [False, True])
+    def test_removed_process_executor_names_its_replacements(self, monkeypatch, via_environment):
+        if via_environment:
+            monkeypatch.setenv("REPRO_EXECUTOR", "process")
+            spec = None
+        else:
+            spec = "process"
+        with pytest.raises(ConfigurationError) as caught:
+            resolve_executor(spec, workers=2)
+        message = str(caught.value)
+        assert "'thread'" in message
+        assert "repro sweep run --shard i/N" in message
 
     def test_instance_passes_through_and_scope_borrows_it(self):
         with ThreadExecutor(2) as executor:
@@ -144,12 +119,8 @@ class TestOrderingAndErrors:
     @pytest.mark.parametrize("name", EXECUTOR_NAMES)
     def test_task_exceptions_propagate_unchanged(self, name):
         with resolve_executor(name, workers=2) as executor:
-            if executor.name == "serial":
-                with pytest.raises(ValueError, match="task failure"):
-                    executor.map_ordered(_boom, [1, 2])
-            else:
-                with pytest.raises(ValueError, match="task failure"):
-                    executor.map_ordered(_boom, [1, 2])
+            with pytest.raises(ValueError, match="task failure"):
+                executor.map_ordered(_boom, [1, 2])
 
     def test_serial_submit_runs_inline(self):
         executor = SerialExecutor()
@@ -159,12 +130,12 @@ class TestOrderingAndErrors:
         assert executor.is_async is False
 
     def test_map_ordered_helper_routes_through_named_executor(self):
-        assert map_ordered(_double, [1, 2, 3], workers=2, executor="process") == [2, 4, 6]
+        assert map_ordered(_double, [1, 2, 3], workers=2, executor="thread") == [2, 4, 6]
 
     def test_map_ordered_helper_stays_inline_for_one_worker(self):
         calls = []
 
-        def local_closure(value):  # unpicklable on purpose
+        def local_closure(value):
             calls.append(value)
             return value
 
@@ -172,109 +143,26 @@ class TestOrderingAndErrors:
         assert calls == [1, 2]
 
 
-class TestProcessTransport:
-    def test_large_arrays_round_trip_through_shared_memory(self, shm_snapshot, monkeypatch):
-        monkeypatch.setenv("REPRO_SHM_MIN_BYTES", "0")  # force every payload through shm
-        arrays = [np.full(20_000, i, dtype=np.uint64) for i in range(6)]
-        with ProcessExecutor(2) as executor:
-            totals = executor.map_ordered(_array_total, arrays)
-        assert totals == [i * 20_000 for i in range(6)]
-
-    def test_result_arrays_are_owned_copies(self):
-        array = np.arange(50_000, dtype=np.uint64)
-        with ProcessExecutor(1) as executor:
-            echoed = executor.submit(_echo_array, array).result()
-        assert np.array_equal(echoed, array)
-        echoed[0] = 7  # owned memory: writable without touching the source
-        assert array[0] == 0
-
-    def test_export_import_round_trip_nested_containers(self, shm_snapshot):
-        value = {"chunks": [np.arange(10_000, dtype=np.uint64), b"x" * 70_000], "n": 3}
-        segments = []
-        packed = shmem.export_value(value, segments, threshold=0)
-        assert segments, "large payloads must be lifted into segments"
-        restored = shmem.import_value(packed, unlink=True)
-        assert restored["n"] == 3
-        assert np.array_equal(restored["chunks"][0], value["chunks"][0])
-        assert restored["chunks"][1] == value["chunks"][1]
-
-    def test_small_payloads_skip_shared_memory(self):
-        segments = []
-        packed = shmem.export_value((np.arange(4, dtype=np.uint64), b"tiny"), segments)
-        assert segments == []
-        assert isinstance(packed[0], np.ndarray) and packed[1] == b"tiny"
-
-    def test_decoupling_contract_follows_the_shm_threshold(self):
-        serial = SerialExecutor()
-        assert serial.decouples_at_submit(8)  # inline: nothing outlives submit
-        with ThreadExecutor(2) as threads:
-            assert not threads.decouples_at_submit(1 << 30)  # shares the buffer
-        executor = ProcessExecutor(1)
-        try:
-            assert executor.decouples_at_submit(shmem.shm_min_bytes())  # shm copy at submit
-            assert not executor.decouples_at_submit(shmem.shm_min_bytes() - 1)  # pickled later
-        finally:
-            executor.close()
-
-
 class TestCleanShutdown:
-    """Regression tests: crash/cancel paths reap children and segments."""
+    """Abort and close paths join every worker thread."""
 
-    def test_worker_crash_raises_one_clear_error(self):
-        with ProcessExecutor(2) as executor:
-            with pytest.raises(ParallelExecutionError, match="worker process died"):
-                executor.map_ordered(_kill_self, [1, 2, 3])
-        assert multiprocessing.active_children() == []
-
-    def test_crash_inside_pipeline_surfaces_and_cleans_up(self, tmp_path, shm_snapshot):
-        writer = OrderedChunkWriter(lambda cid, payload: None, workers=2, executor="process")
-        writer.submit(0, _kill_self, 1)
-        with pytest.raises(ParallelExecutionError):
-            writer.close()
-        assert multiprocessing.active_children() == []
-
-    def test_cancelled_pipeline_discards_results_without_leaks(self, shm_snapshot, monkeypatch):
-        monkeypatch.setenv("REPRO_SHM_MIN_BYTES", "0")
-        executor = ProcessExecutor(2)
-        handles = [executor.submit(_echo_array, np.arange(30_000, dtype=np.uint64)) for _ in range(4)]
-        # Let at least one task finish so a packed result is in flight,
-        # then abandon everything: close() must unlink the parked results.
-        handles[0].result()
-        executor.close(cancel=True)
-        assert multiprocessing.active_children() == []
-
-    def test_cancel_reclaims_finished_results_on_a_borrowed_pool(self, shm_snapshot, monkeypatch):
-        """Abandoning finished work must not hold segments until close():
-        a borrowed long-lived executor would otherwise accumulate them."""
-        monkeypatch.setenv("REPRO_SHM_MIN_BYTES", "0")
-        with ProcessExecutor(1) as executor:
-            handles = [
-                executor.submit(_echo_array, np.arange(20_000, dtype=np.uint64)) for _ in range(3)
-            ]
-            executor.submit(_double, 1).result()  # barrier: all echoes finished
-            for handle in handles:
-                handle.cancel()
-            # Segments must be gone NOW, while the pool is still open.
-            leaked = [n for n in _shm_segment_names() if n.startswith("psm_")]
-            assert not leaked, f"cancel left parked result segments: {leaked}"
-            assert executor.submit(_double, 21).result() == 42  # pool still usable
-
-    def test_aborted_encoder_context_reaps_process_pool(self, tmp_path, shm_snapshot):
+    def test_aborted_encoder_context_joins_the_pool(self, tmp_path):
         from repro.core.atc import MODE_LOSSLESS, AtcEncoder
         from repro.core.lossy import LossyConfig
 
+        before = len(_pool_threads())
         config = LossyConfig(
-            interval_length=5_000, chunk_buffer_addresses=5_000, workers=2, executor="process"
+            interval_length=5_000, chunk_buffer_addresses=5_000, workers=2, executor="thread"
         )
         encoder = AtcEncoder(tmp_path / "container", mode=MODE_LOSSLESS, config=config)
         with pytest.raises(RuntimeError):
             with encoder:
                 encoder.code_many(np.arange(20_000, dtype=np.uint64))
                 raise RuntimeError("abort")
-        assert multiprocessing.active_children() == []
+        assert len(_pool_threads()) == before
 
     def test_close_is_idempotent_and_rejects_new_work(self):
-        executor = ProcessExecutor(1)
+        executor = ThreadExecutor(1)
         assert executor.submit(_double, 4).result() == 8
         executor.close()
         executor.close()
@@ -282,7 +170,7 @@ class TestCleanShutdown:
             executor.submit(_double, 1)
 
     def test_slow_queue_cancel_returns_promptly(self):
-        executor = ProcessExecutor(1)
+        executor = ThreadExecutor(1)
         started = time.perf_counter()
         for value in range(40):
             executor.submit(_slow_identity, value)
@@ -290,12 +178,11 @@ class TestCleanShutdown:
         # 40 tasks x 50 ms would be 2 s serially; cancellation must drop
         # the unstarted tail instead of draining it.
         assert time.perf_counter() - started < 1.5
-        assert multiprocessing.active_children() == []
 
 
 class TestExecutorKind:
     def test_kind_resolves_names_env_and_instances(self, monkeypatch):
-        assert executor_kind("process") == "process"
+        assert executor_kind("thread") == "thread"
         assert executor_kind(None) == "auto"
         monkeypatch.setenv("REPRO_EXECUTOR", "thread")
         assert executor_kind(None) == "thread"
@@ -303,11 +190,11 @@ class TestExecutorKind:
             assert executor_kind(executor) == "serial"
 
 
-@pytest.mark.skipif(sys.platform == "win32", reason="POSIX shared memory only")
 def test_engine_module_is_exported_from_core():
     import repro
     import repro.core as core
 
-    assert core.ProcessExecutor is ProcessExecutor
+    assert core.ThreadExecutor is ThreadExecutor
     assert repro.resolve_executor is resolve_executor
-    assert issubclass(ProcessExecutor, Executor)
+    assert issubclass(ThreadExecutor, Executor)
+    assert EXECUTOR_NAMES == ("serial", "thread")

@@ -20,7 +20,7 @@ from repro.core.atc import (
 )
 from repro.core.lossless import LosslessCodec
 from repro.core.lossy import LossyCodec, LossyConfig
-from repro.core.parallel import OrderedChunkWriter, map_ordered, resolve_workers
+from repro.core.parallel import OrderedChunkWriter, imap_ordered, map_ordered, resolve_workers
 from repro.errors import CodecError, ConfigurationError
 
 
@@ -77,7 +77,7 @@ class TestMapOrdered:
 
 
 class TestOrderedChunkWriter:
-    @pytest.mark.parametrize("workers", [1, 4])
+    @pytest.mark.parametrize("workers", [0, 1, 4])
     def test_writes_in_submission_order(self, workers):
         written = []
         with OrderedChunkWriter(lambda cid, payload: written.append((cid, payload)), workers) as writer:
@@ -108,6 +108,63 @@ class TestOrderedChunkWriter:
         writer.submit(0, boom)
         with pytest.raises(RuntimeError):
             writer.close()
+
+
+def _synthetic_addresses(count: int) -> np.ndarray:
+    """RNG-free addresses with repeated bytes."""
+    k = np.arange(count, dtype=np.uint64)
+    return ((k * np.uint64(2654435761)) ^ (k >> np.uint64(3))) % np.uint64(65536) + np.uint64(
+        0x40_0000
+    )
+
+
+class TestBulkCodecWindow:
+    def test_imap_ordered_serial_pulls_one_at_a_time(self):
+        state = {"pulled": 0, "yielded": 0}
+
+        def items():
+            for value in range(32):
+                state["pulled"] += 1
+                assert state["pulled"] <= state["yielded"] + 1
+                yield value
+
+        results = []
+        for value in imap_ordered(lambda v: v * 3, items()):
+            state["yielded"] += 1
+            results.append(value)
+        assert results == [v * 3 for v in range(32)]
+
+    def test_imap_ordered_bounded_window_on_threads(self):
+        workers = 2
+        state = {"pulled": 0, "yielded": 0}
+        # With list(items) up front this trips immediately (pulled == 64 at
+        # yielded == 0); the bounded window keeps pulls within the
+        # submission lookahead (2 * workers) plus slack for in-flight tasks.
+        window_slack = 2 * workers + 2
+
+        def items():
+            for value in range(64):
+                state["pulled"] += 1
+                assert state["pulled"] <= state["yielded"] + window_slack
+                yield value
+
+        results = []
+        for value in imap_ordered(lambda v: v + 100, items(), workers=workers, executor="thread"):
+            state["yielded"] += 1
+            results.append(value)
+        assert results == [v + 100 for v in range(64)]
+
+    @pytest.mark.parametrize("name", ["serial", "thread"])
+    def test_compress_many_accepts_generators_byte_identically(self, name):
+        codec = LosslessCodec(buffer_addresses=64, backend="zlib")
+        intervals = [_synthetic_addresses(50 + 13 * i) for i in range(12)]
+        reference = [codec.compress(interval) for interval in intervals]
+        produced = codec.compress_many(
+            (interval for interval in intervals), workers=2, executor=name
+        )
+        assert produced == reference
+        recovered = codec.decompress_many(iter(produced), workers=2, executor=name)
+        assert all(np.array_equal(r, i) for r, i in zip(recovered, intervals))
 
 
 class TestEncoderErrorPath:

@@ -395,10 +395,9 @@ class TestDistributedRunner:
         with pytest.raises(ConfigurationError):
             DistributedSweepRunner(_SPEC, None)
 
-    def test_process_executor_downgrades_to_threads(self, tmp_path):
-        runner = _StubDistributedRunner(_SPEC, tmp_path / "c", executor="process", workers=2)
-        assert runner._effective_executor() == "thread"
-        assert runner.run_worker().remaining == 0
+    def test_removed_process_executor_is_rejected(self, tmp_path):
+        with pytest.raises(ConfigurationError, match="--shard i/N"):
+            _StubDistributedRunner(_SPEC, tmp_path / "c", executor="process", workers=2)
 
     def test_merge_reports_missing_units_in_grid_order(self, tmp_path):
         cache = tmp_path / "cache"

@@ -106,7 +106,7 @@ class TestRunSuite:
     def test_resolved_executor_name(self):
         assert resolved_executor_name(None, workers=1) == "serial"
         assert resolved_executor_name(None, workers=4) == "thread"
-        assert resolved_executor_name("process", workers=1) == "process"
+        assert resolved_executor_name("thread", workers=1) == "thread"
 
 
 class TestReportSchema:

@@ -145,6 +145,28 @@ class TestJobsFlag:
         assert bin2atc_main(args) == 1
         assert "unknown compression backend" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("executor", ["fibers", "process"])
+    def test_unknown_executor_choice_is_a_usage_error(
+        self, tmp_path, raw_trace_file, capsys, executor
+    ):
+        args = ["compress", str(tmp_path / "c"), "--input", str(raw_trace_file)]
+        with pytest.raises(SystemExit) as caught:
+            main(args + ["--executor", executor])
+        assert caught.value.code == 2
+        assert "invalid choice" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "value,message",
+        [("fibers", "unknown executor"), ("process", "repro sweep run --shard i/N")],
+    )
+    def test_bad_executor_environment_fails_cleanly(
+        self, tmp_path, raw_trace_file, capsys, monkeypatch, value, message
+    ):
+        monkeypatch.setenv("REPRO_EXECUTOR", value)
+        args = ["compress", str(tmp_path / "c"), "--lossless", "--input", str(raw_trace_file)]
+        assert main(args) == 1
+        assert message in capsys.readouterr().err
+
     def test_jobs_containers_are_byte_identical(self, tmp_path, raw_trace_file):
         containers = []
         for jobs in ("1", "4"):
