@@ -321,3 +321,118 @@ class TestFilterKernelPaths:
         assert result.trace.addresses.tolist() == misses
         assert result.instruction_stats == instruction.stats
         assert result.data_stats == data.stats
+
+
+def _stack_model(blocks, rows, ways, policy, initial=None):
+    """Per-reference list model of :func:`repro.core.kernels.simulate_batch`.
+
+    One recency (LRU) or fill-order (FIFO) list per row, newest first.
+    LRU stacks are tracked to the widest associativity in the batch, so a
+    depth is reported against that width while a hit needs the depth to
+    fit the row's own associativity (Mattson inclusion).
+    """
+    ways_of = (lambda rid: int(ways[rid])) if isinstance(ways, np.ndarray) else (lambda rid: ways)
+    width = max(ways_of(rid) for rid in set(rows.tolist()))
+    stacks = {rid: list(stack) for rid, stack in (initial or {}).items()}
+    stamps = {}
+    hits, depths = [], []
+    for index, (block, rid) in enumerate(zip(blocks.tolist(), rows.tolist())):
+        stack = stacks.setdefault(rid, [])
+        depth = stack.index(block) + 1 if block in stack else 0
+        hit = 0 < depth <= ways_of(rid)
+        if policy == "lru":
+            if depth:
+                del stack[depth - 1]
+            stack.insert(0, block)
+            del stack[width:]
+            stamps[rid, block] = index
+        elif not hit:
+            stack.insert(0, block)
+            del stack[ways_of(rid) :]
+            stamps[rid, block] = index
+        hits.append(hit)
+        depths.append(depth)
+    final = {
+        rid: [(block, stamps.get((rid, block), -1)) for block in stacks[rid][: ways_of(rid)]]
+        for rid in set(rows.tolist())
+    }
+    return np.array(hits, dtype=bool), np.array(depths, dtype=np.int64), final
+
+
+def _lane_trace(count: int, seed: int, lanes: int = 1, sets: int = 8):
+    """Blocks with reuse and duplicate runs; rows are ``lane * sets + set``."""
+    rng = np.random.default_rng(seed)
+    blocks = np.repeat(
+        rng.integers(0, 24 * sets, size=count, dtype=np.uint64),
+        rng.integers(1, 4, size=count),
+    )[:count]
+    lane = rng.integers(0, lanes, size=blocks.size)
+    rows = (lane * sets + (blocks & np.uint64(sets - 1)).astype(np.int64)).astype(np.int64)
+    return blocks, rows
+
+
+@pytest.fixture(params=["march", "replay"])
+def kernel_route(request, monkeypatch):
+    """Run the kernel with every row on one route: lock-step march or replay."""
+    if request.param == "march":
+        monkeypatch.setattr(kernels, "REPLAY_MIN_ROW_REFS", 1 << 30)
+    else:
+        monkeypatch.setattr(kernels, "REPLAY_MIN_ROW_REFS", 0)
+        monkeypatch.setattr(kernels, "REPLAY_SKEW_FACTOR", 0)
+    return request.param
+
+
+class TestSimulateBatchMatchesStackModel:
+    """Hits, depths and final stacks against a per-reference list model,
+    on each route of the kernel."""
+
+    @pytest.mark.parametrize("ways", [1, 2, 4])
+    def test_lru_hits_and_depths(self, kernel_route, ways):
+        blocks, rows = _lane_trace(3_000, seed=ways)
+        result = kernels.simulate_batch(blocks, rows, 7, ways, "lru", want_depths=True)
+        hits, depths, final = _stack_model(blocks, rows, ways, "lru")
+        assert np.array_equal(result.hits, hits)
+        assert np.array_equal(result.depths, depths)
+        assert result.final_stacks == final
+
+    @pytest.mark.parametrize("ways", [1, 4])
+    def test_fifo_hits_and_fill_stamps(self, kernel_route, ways):
+        blocks, rows = _lane_trace(3_000, seed=10 + ways)
+        result = kernels.simulate_batch(blocks, rows, 7, ways, "fifo")
+        hits, _, final = _stack_model(blocks, rows, ways, "fifo")
+        assert result.depths is None
+        assert np.array_equal(result.hits, hits)
+        assert result.final_stacks == final
+
+    def test_per_row_ways_array(self, kernel_route):
+        # two fused lanes of 8 sets, 4-way and 2-way (an L1I/L1D pair)
+        blocks, rows = _lane_trace(4_000, seed=21, lanes=2)
+        ways = np.array([4] * 8 + [2] * 8, dtype=np.int64)
+        result = kernels.simulate_batch(blocks, rows, 7, ways, "lru", want_depths=True)
+        hits, depths, final = _stack_model(blocks, rows, ways, "lru")
+        assert np.array_equal(result.hits, hits)
+        assert np.array_equal(result.depths, depths)
+        assert result.final_stacks == final
+
+    @pytest.mark.parametrize("policy", ["lru", "fifo"])
+    def test_carried_in_stacks_continue_the_stream(self, kernel_route, policy):
+        blocks, rows = _lane_trace(4_000, seed=33)
+        half = blocks.size // 2
+        warm = kernels.simulate_batch(blocks[:half], rows[:half], 7, 4, policy)
+        # initial_stacks carries bare block orders (stamps are per-batch)
+        carry = {rid: [block for block, _ in stack] for rid, stack in warm.final_stacks.items()}
+        result = kernels.simulate_batch(blocks[half:], rows[half:], 7, 4, policy, carry)
+        hits, _, final = _stack_model(blocks[half:], rows[half:], 4, policy, carry)
+        assert np.array_equal(result.hits, hits)
+        assert result.final_stacks == final
+        oneshot_hits, _, _ = _stack_model(blocks, rows, 4, policy)
+        assert np.array_equal(np.concatenate([warm.hits, result.hits]), oneshot_hits)
+
+    def test_untracked_stamps_are_minus_one(self, kernel_route):
+        blocks, rows = _lane_trace(2_000, seed=44)
+        tracked = kernels.simulate_batch(blocks, rows, 7, 4, "lru")
+        untracked = kernels.simulate_batch(blocks, rows, 7, 4, "lru", track_stamps=False)
+        assert np.array_equal(untracked.hits, tracked.hits)
+        assert untracked.final_stacks == {
+            rid: [(block, -1) for block, _ in stack] for rid, stack in tracked.final_stacks.items()
+        }

@@ -172,3 +172,43 @@ class TestBytesortProperties:
     def test_length_preserved(self, values):
         array = np.array(values, dtype=np.uint64)
         assert len(bytesort_window(array)) == 8 * array.size
+
+
+def _definition_bytesort(values) -> bytes:
+    """Section 4.1 read literally, on Python ints: emit the current byte of
+    every address in the current order, then stably re-sort by it."""
+    order = [int(value) for value in values]
+    blocks = []
+    for position in range(ADDRESS_BYTES - 1, -1, -1):
+        column = [(value >> (8 * position)) & 0xFF for value in order]
+        blocks.append(bytes(column))
+        order = [value for _, value in sorted(zip(column, order), key=lambda pair: pair[0])]
+    return b"".join(blocks)
+
+
+def _tied_window(count: int) -> np.ndarray:
+    """RNG-free addresses with many repeated bytes (ties exercise stability)."""
+    k = np.arange(count, dtype=np.uint64)
+    return ((k * np.uint64(2654435761)) ^ (k >> np.uint64(3))) % np.uint64(65536) + np.uint64(
+        0x40_0000
+    )
+
+
+class TestBytesortMatchesDefinition:
+    """The vectorised transform against a per-address reading of the paper."""
+
+    @pytest.mark.parametrize("count", [1, 7, 4096])
+    def test_forward_matches_definition(self, count):
+        values = _tied_window(count)
+        assert bytesort_window(values) == _definition_bytesort(values)
+
+    @pytest.mark.parametrize("count", [1, 7, 4096])
+    def test_inverse_recovers_definition_payload(self, count):
+        values = _tied_window(count)
+        assert np.array_equal(bytesort_inverse_window(_definition_bytesort(values)), values)
+
+    @settings(max_examples=30, deadline=None)
+    @given(st.lists(st.integers(min_value=0, max_value=(1 << 64) - 1), min_size=1, max_size=200))
+    def test_forward_matches_definition_property(self, values):
+        array = np.array(values, dtype=np.uint64)
+        assert bytesort_window(array) == _definition_bytesort(values)

@@ -16,8 +16,9 @@ from repro.core.executors import (
     executor_kind,
     executor_scope,
     resolve_executor,
+    resolved_kind,
 )
-from repro.core.parallel import map_ordered
+from repro.core.parallel import OrderedChunkWriter, map_ordered
 from repro.errors import ConfigurationError
 
 
@@ -179,6 +180,81 @@ class TestCleanShutdown:
         # the unstarted tail instead of draining it.
         assert time.perf_counter() - started < 1.5
 
+    def test_task_error_inside_pipeline_surfaces_and_joins_the_pool(self):
+        before = len(_pool_threads())
+        written = []
+        writer = OrderedChunkWriter(
+            lambda cid, payload: written.append(cid), workers=2, executor="thread"
+        )
+        writer.submit(0, _double, 1)
+        writer.submit(1, _boom, 2)
+        with pytest.raises(ValueError, match="task failure"):
+            writer.close()
+        assert written == [0]
+        assert len(_pool_threads()) == before
+
+    def test_cancelled_pipeline_discards_results_without_leaks(self):
+        before = len(_pool_threads())
+        written = []
+        writer = OrderedChunkWriter(
+            lambda cid, payload: written.append(cid), workers=2, max_pending=80, executor="thread"
+        )
+        started = time.perf_counter()
+        for chunk_id in range(80):
+            writer.submit(chunk_id, _slow_identity, chunk_id)
+        writer.cancel()
+        # draining 80 x 50 ms on two workers would take 2 s
+        assert time.perf_counter() - started < 1.0
+        assert written == []
+        assert len(_pool_threads()) == before
+        with pytest.raises(ConfigurationError):
+            writer.submit(80, _double, 1)
+
+    def test_cancel_on_a_borrowed_pool_leaves_it_usable(self):
+        gate = threading.Event()
+        ran = []
+        with ThreadExecutor(1) as executor:
+            writer = OrderedChunkWriter(lambda cid, payload: None, executor=executor)
+            writer.submit(0, gate.wait, 5)  # occupies the only worker
+            writer.submit(1, ran.append, "queued")
+            writer.cancel()
+            gate.set()
+            # FIFO pool of one: the queued task would have run before this
+            assert executor.submit(_double, 21).result() == 42
+        assert ran == []
+
+    def test_handle_cancel_drops_an_unstarted_task(self):
+        gate = threading.Event()
+        ran = []
+        with ThreadExecutor(1) as executor:
+            blocker = executor.submit(gate.wait, 5)
+            queued = executor.submit(ran.append, "queued")
+            assert queued.cancel() is True
+            gate.set()
+            assert blocker.result() is True
+            assert executor.submit(_double, 2).result() == 4
+        assert ran == []
+
+    def test_serial_handle_has_already_run(self):
+        ran = []
+        handle = SerialExecutor().submit(ran.append, "now")
+        assert handle.cancel() is False
+        assert ran == ["now"]
+
+    def test_scope_exit_on_error_drops_unstarted_work(self):
+        gate = threading.Event()
+        ran = []
+        release = threading.Timer(0.2, gate.set)
+        with pytest.raises(RuntimeError, match="abort"):
+            with executor_scope("thread", workers=1) as executor:
+                executor.submit(gate.wait, 5)
+                for value in range(5):
+                    executor.submit(ran.append, value)
+                release.start()
+                raise RuntimeError("abort")
+        release.join()
+        assert ran == []
+
 
 class TestExecutorKind:
     def test_kind_resolves_names_env_and_instances(self, monkeypatch):
@@ -188,6 +264,22 @@ class TestExecutorKind:
         assert executor_kind(None) == "thread"
         with SerialExecutor() as executor:
             assert executor_kind(executor) == "serial"
+
+    @pytest.mark.parametrize(
+        "spec,workers,expected",
+        [
+            (None, 1, "serial"),
+            (None, 4, "thread"),
+            ("auto", 2, "thread"),
+            ("thread", 1, "thread"),
+            ("serial", 4, "serial"),
+        ],
+    )
+    def test_resolved_kind_applies_the_auto_rule(self, monkeypatch, spec, workers, expected):
+        monkeypatch.delenv("REPRO_EXECUTOR", raising=False)
+        assert resolved_kind(spec, workers) == expected
+        with resolve_executor(spec, workers) as executor:
+            assert executor.name == expected
 
 
 def test_engine_module_is_exported_from_core():

@@ -109,6 +109,27 @@ class TestOrderedChunkWriter:
         with pytest.raises(RuntimeError):
             writer.close()
 
+    def test_serial_task_error_surfaces_at_submit(self):
+        def boom():
+            raise RuntimeError("compression failed")
+
+        written = []
+        writer = OrderedChunkWriter(lambda cid, payload: written.append(cid), workers=1)
+        writer.submit(0, lambda: b"ok")
+        with pytest.raises(RuntimeError, match="compression failed"):
+            writer.submit(1, boom)
+        writer.close()
+        assert written == [0]
+
+    @pytest.mark.parametrize("workers,expected", [(1, False), (2, True)])
+    def test_is_async_follows_the_executor(self, workers, expected):
+        writer = OrderedChunkWriter(lambda cid, payload: None, workers=workers)
+        try:
+            assert writer.is_async is expected
+            assert writer.workers == workers
+        finally:
+            writer.close()
+
 
 def _synthetic_addresses(count: int) -> np.ndarray:
     """RNG-free addresses with repeated bytes."""
