@@ -16,7 +16,6 @@ ablation benches can vary the policy.
 
 from __future__ import annotations
 
-from collections import OrderedDict
 from dataclasses import dataclass
 from typing import Iterable, List, Optional, Tuple
 
@@ -40,15 +39,17 @@ __all__ = ["CacheConfig", "CacheStats", "SetAssociativeCache", "access_batches"]
 
 _POLICIES = ("lru", "fifo", "random")
 
-#: Slice length (in blocks) of the exact serial fallback taken by
-#: :meth:`SetAssociativeCache.access_batch` for RANDOM replacement and
-#: dirty caches: big enough that per-slice overhead is negligible, small
-#: enough that a huge batch never materialises one giant Python list.
+#: Slice length (in blocks) of the exact serial loop taken by
+#: :meth:`SetAssociativeCache.access_batch` for RANDOM replacement, dirty
+#: caches and short batches: big enough that per-slice overhead is
+#: negligible, small enough that a huge batch never materialises one giant
+#: Python list.
 SERIAL_FALLBACK_BLOCKS = 65536
 
-#: Batches shorter than this skip the array kernel: below a few hundred
-#: references the kernel's sort/pack setup costs more than the grouped
-#: per-reference replay it replaces.
+#: LRU/FIFO batches shorter than this skip the array kernel (here and in
+#: the stack-distance simulator) and take the serial per-reference loop:
+#: below a few hundred references the kernel's sort/pack setup costs more
+#: than the loop it replaces.
 KERNEL_MIN_BATCH = 192
 
 #: Kernel batches are simulated in slices of this many blocks (state
@@ -60,12 +61,23 @@ KERNEL_SLICE_BLOCKS = 65536
 #: Geometries up to this many sets seed the kernel by scanning every
 #: non-empty set (cheaper than sorting the batch's set indices); larger
 #: geometries pay one :func:`numpy.unique` to seed only the touched sets.
-#: Shared with the stack-distance simulator's seeding heuristic.
 KERNEL_SEED_SCAN_SETS = 4096
 
 
 def _is_power_of_two(value: int) -> bool:
     return value > 0 and (value & (value - 1)) == 0
+
+
+def kernel_seed_sets(num_sets: int, set_index: np.ndarray) -> Iterable[int]:
+    """Set indices whose state a kernel batch over ``set_index`` is seeded with.
+
+    The rule :data:`KERNEL_SEED_SCAN_SETS` describes (the kernel ignores
+    rows absent from the batch), shared by the cache and the
+    stack-distance simulator.
+    """
+    if num_sets <= KERNEL_SEED_SCAN_SETS:
+        return range(num_sets)
+    return np.unique(set_index).tolist()
 
 
 @dataclass(frozen=True)
@@ -279,34 +291,31 @@ class SetAssociativeCache:
           an access equal to the previous access of the same set);
         * LRU and FIFO set-associative caches run on the set-parallel
           stack kernel (:mod:`repro.core.kernels`), which advances every
-          set's recency stack with whole-array operations; very small
-          batches instead replay each set's subsequence against an
-          :class:`~collections.OrderedDict` (:meth:`_access_batch_grouped`,
-          the pre-kernel path, kept as the grouped reference
-          implementation);
-        * RANDOM replacement (whose RNG draws depend on global access
-          order) and caches holding dirty blocks (whose evictions must
-          count write-backs) fall back to the exact serial loop.
+          set's recency stack with whole-array operations;
+        * batches shorter than :data:`KERNEL_MIN_BATCH`, RANDOM
+          replacement (whose RNG draws depend on global access order) and
+          caches holding dirty blocks (whose evictions must count
+          write-backs) take the exact serial loop.
         """
         array = _as_block_array(blocks)
         count = int(array.size)
         if count == 0:
             return np.zeros(0, dtype=bool)
-        if self.config.policy == "random" or self._dirty_block_count:
-            # Exact serial fallback; convert to Python ints in bounded
-            # slices so a huge batch does not materialise one giant list.
-            hits = np.empty(count, dtype=bool)
-            access_block = self.access_block
-            for start in range(0, count, SERIAL_FALLBACK_BLOCKS):
-                chunk = array[start : start + SERIAL_FALLBACK_BLOCKS].tolist()
-                for offset, block in enumerate(chunk):
-                    hits[start + offset] = access_block(block)
-            return hits
-        if self.config.associativity == 1:
-            return self._access_batch_direct(array)
-        if count < KERNEL_MIN_BATCH:
-            return self._access_batch_grouped(array)
-        return self._access_batch_kernel(array)
+        config = self.config
+        if config.policy != "random" and not self._dirty_block_count:
+            if config.associativity == 1:
+                return self._access_batch_direct(array)
+            if count >= KERNEL_MIN_BATCH:
+                return _simulate_on_kernel([self], [array], config.policy)[0]
+        # Exact serial loop; convert to Python ints in bounded slices so a
+        # huge batch does not materialise one giant list.
+        hits = np.empty(count, dtype=bool)
+        access_block = self.access_block
+        for start in range(0, count, SERIAL_FALLBACK_BLOCKS):
+            chunk = array[start : start + SERIAL_FALLBACK_BLOCKS].tolist()
+            for offset, block in enumerate(chunk):
+                hits[start + offset] = access_block(block)
+        return hits
 
     def _access_batch_direct(self, array: np.ndarray) -> np.ndarray:
         """Vectorised batch access for direct-mapped caches.
@@ -364,134 +373,44 @@ class SetAssociativeCache:
         hits[order] = hits_sorted
         return hits
 
-    def _access_batch_grouped(self, array: np.ndarray) -> np.ndarray:
-        """Grouped batch access for LRU/FIFO set-associative caches.
-
-        Accesses to different sets never interact, so the batch is sorted
-        by set index (stable, preserving per-set order) and each set's
-        subsequence is replayed against an OrderedDict kept in recency
-        (LRU) or fill (FIFO) order; the victim is always the first entry.
-        Stamps are reconstructed from each access's global position, which
-        makes the final state bit-identical to the serial loop.
-        """
-        count = int(array.size)
-        set_index = (array & np.uint64(self._set_mask)).astype(np.int64)
-        order = np.argsort(set_index, kind="stable")
-        sorted_sets = set_index[order]
-        group_starts = np.flatnonzero(
-            np.concatenate(([True], sorted_sets[1:] != sorted_sets[:-1]))
-        )
-        group_bounds = np.append(group_starts, count)
-        clock_start = self._clock
-        ways = self.config.associativity
-        is_lru = self.config.policy == "lru"
-        hits = np.empty(count, dtype=bool)
-        hit_count = 0
-        eviction_count = 0
-        for group in range(group_starts.size):
-            start = int(group_starts[group])
-            end = int(group_bounds[group + 1])
-            cache_set = self._sets[int(sorted_sets[start])]
-            # Existing stamps are unique clock values, so sorting by stamp
-            # recovers the recency/fill order the serial loop maintains.
-            entries = OrderedDict(sorted(cache_set.items(), key=lambda item: item[1]))
-            group_blocks = array[order[start:end]].tolist()
-            group_positions = order[start:end].tolist()
-            for block, position in zip(group_blocks, group_positions):
-                if block in entries:
-                    hits[position] = True
-                    hit_count += 1
-                    if is_lru:
-                        entries[block] = clock_start + position + 1
-                        entries.move_to_end(block)
-                else:
-                    hits[position] = False
-                    if len(entries) >= ways:
-                        entries.popitem(last=False)
-                        eviction_count += 1
-                    entries[block] = clock_start + position + 1
-            cache_set.clear()
-            cache_set.update(entries)
-        self.stats.accesses += count
-        self.stats.hits += hit_count
-        self.stats.misses += count - hit_count
-        self.stats.evictions += eviction_count
-        self._clock += count
-        return hits
-
-    def _access_batch_kernel(self, array: np.ndarray) -> np.ndarray:
-        """Batch access on the set-parallel array kernel (LRU/FIFO, clean).
-
-        Delegates the simulation to :func:`repro.core.kernels.simulate_batch`
-        and converts between the cache's per-set stamp dictionaries and the
-        kernel's recency-stack state.  Bit-identical to the serial loop:
-        hit mask, counters, resident blocks and stamps all match exactly.
-        """
-        from repro.core.kernels import simulate_batch
-
-        count = int(array.size)
-        hits = np.empty(count, dtype=bool)
-        for start in range(0, count, KERNEL_SLICE_BLOCKS):
-            piece = array[start : start + KERNEL_SLICE_BLOCKS]
-            size = int(piece.size)
-            set_index = (piece & np.uint64(self._set_mask)).astype(np.int32)
-            result = simulate_batch(
-                piece,
-                set_index,
-                self._set_mask,
-                self.config.associativity,
-                self.config.policy,
-                self._kernel_seed_stacks(set_index),
-            )
-            growth = self._kernel_apply_state(result.final_stacks.items(), self._clock)
-            piece_hits = result.hits
-            hit_count = int(np.count_nonzero(piece_hits))
-            self.stats.accesses += size
-            self.stats.hits += hit_count
-            self.stats.misses += size - hit_count
-            self.stats.evictions += (size - hit_count) - growth
-            self._clock += size
-            hits[start : start + size] = piece_hits
-        return hits
-
     def _kernel_seed_stacks(self, set_index: np.ndarray) -> dict:
         """Kernel-facing state: blocks of each touched set, MRU/newest first.
 
         Stamps are unique clock values, so sorting by stamp descending
         recovers the recency (LRU) or fill (FIFO) order the kernel's
-        stacks encode.  For small geometries every non-empty set is
-        offered (the kernel ignores rows absent from the batch); large
-        ones pay one :func:`numpy.unique` to seed only the touched sets.
+        stacks encode.
         """
-        if self.config.num_sets <= KERNEL_SEED_SCAN_SETS:
-            touched = range(self.config.num_sets)
-        else:
-            touched = np.unique(set_index).tolist()
         initial = {}
-        for index in touched:
+        for index in kernel_seed_sets(self.config.num_sets, set_index):
             cache_set = self._sets[index]
             if cache_set:
                 initial[index] = sorted(cache_set, key=cache_set.get, reverse=True)
         return initial
 
-    def _kernel_apply_state(self, stack_items, clock_start: int) -> int:
-        """Write kernel result stacks back into the per-set stamp dicts.
+    def _kernel_commit(self, stack_items, hits: np.ndarray) -> None:
+        """Apply one kernel slice of this cache: stamps, counters and clock.
 
         ``stack_items`` yields ``(set_index, [(block, last_position), ...])``
-        with positions relative to this cache's batch (``-1`` = untouched,
-        keep the old stamp).  Returns the total occupancy growth, which
-        turns the batch's miss count into its eviction count.
+        with positions relative to the slice (``-1`` = untouched, keep the
+        old stamp); ``hits`` is the slice's hit mask.  The occupancy growth
+        of the rewritten sets turns the slice's misses into evictions.
         """
         growth = 0
         for index, stack in stack_items:
             cache_set = self._sets[index]
             rebuilt = {}
             for block, last in reversed(stack):
-                rebuilt[block] = clock_start + last + 1 if last >= 0 else cache_set[block]
+                rebuilt[block] = self._clock + last + 1 if last >= 0 else cache_set[block]
             growth += len(rebuilt) - len(cache_set)
             cache_set.clear()
             cache_set.update(rebuilt)
-        return growth
+        count = int(hits.size)
+        misses = count - int(np.count_nonzero(hits))
+        self.stats.accesses += count
+        self.stats.hits += count - misses
+        self.stats.misses += misses
+        self.stats.evictions += misses - growth
+        self._clock += count
 
     # -- internals ------------------------------------------------------------------
     def _evict(self, cache_set: dict) -> int:
@@ -546,9 +465,10 @@ def access_batches(caches, block_batches) -> List[np.ndarray]:
     per-core filter caches — simulate fastest when their sets share one
     row space and march together.  Each cache's counters, stamps, resident
     blocks and hit mask come out exactly as if ``cache.access_batch(blocks)``
-    had been called per cache (the fallback this function takes whenever a
-    cache is ineligible for the kernel: RANDOM replacement, dirty blocks,
-    direct-mapped or single-set geometry, or a tiny total batch).
+    had been called per cache, in order (the fallback this function takes
+    whenever the lanes cannot fuse: a cache listed twice, RANDOM or FIFO
+    replacement, dirty blocks, direct-mapped or single-set geometry, or a
+    tiny total batch).
 
     Args:
         caches: The :class:`SetAssociativeCache` instances to access.
@@ -573,10 +493,10 @@ def access_batches(caches, block_batches) -> List[np.ndarray]:
         raise ConfigurationError(
             f"got {len(caches)} caches but {len(arrays)} block batches"
         )
-    total = sum(int(array.size) for array in arrays)
     fusable = (
         len(caches) >= 2
-        and total >= KERNEL_MIN_BATCH
+        and len({id(cache) for cache in caches}) == len(caches)
+        and sum(int(array.size) for array in arrays) >= KERNEL_MIN_BATCH
         and all(
             cache.config.policy == "lru"
             and cache.config.associativity >= 2
@@ -587,13 +507,27 @@ def access_batches(caches, block_batches) -> List[np.ndarray]:
     )
     if not fusable:
         return [cache.access_batch(array) for cache, array in zip(caches, arrays)]
+    return _simulate_on_kernel(caches, arrays, "lru")
+
+
+def _simulate_on_kernel(caches, arrays, policy: str) -> List[np.ndarray]:
+    """Run distinct clean caches through :func:`~repro.core.kernels.simulate_batch`.
+
+    Each cache is one *lane*: its sets take a contiguous block of rows in
+    a shared row space, so the lanes march together.  Lanes of different
+    associativities need ``policy == "lru"`` (Mattson inclusion), and lanes
+    with one set only work alone (their rows have no padding sentinel).
+    The batches are simulated in bounded joint slices: each cache's
+    replacement state carries from one slice to the next, so the result is
+    identical to one shot while the kernel's scratch matrices stay
+    slice-sized.
+    """
     row_bases: List[int] = []
     base = 0
     for cache in caches:
         row_bases.append(base)
         base += cache.config.num_sets
-    associativities = {cache.config.associativity for cache in caches}
-    if len(associativities) == 1:
+    if len({cache.config.associativity for cache in caches}) == 1:
         ways = caches[0].config.associativity
     else:
         ways = np.concatenate(
@@ -603,20 +537,19 @@ def access_batches(caches, block_batches) -> List[np.ndarray]:
             ]
         )
     set_mask = max(cache._set_mask for cache in caches)
-    # march in bounded joint slices: each cache's replacement state carries
-    # from one slice to the next, so the result is identical to one shot
-    # while the kernel's scratch matrices stay slice-sized
     masks = [np.empty(int(array.size), dtype=bool) for array in arrays]
     for start in range(0, max(int(array.size) for array in arrays), KERNEL_SLICE_BLOCKS):
         pieces = [array[start : start + KERNEL_SLICE_BLOCKS] for array in arrays]
-        slice_hits = _fused_kernel_slice(caches, pieces, row_bases, ways, set_mask)
+        slice_hits = _kernel_slice(caches, pieces, row_bases, ways, set_mask, policy)
         for mask, piece_hits in zip(masks, slice_hits):
             mask[start : start + piece_hits.size] = piece_hits
     return masks
 
 
-def _fused_kernel_slice(caches, pieces, row_bases, ways, set_mask) -> List[np.ndarray]:
-    """One fused kernel pass over aligned per-cache batch slices."""
+def _kernel_slice(caches, pieces, row_bases, ways, set_mask, policy) -> List[np.ndarray]:
+    """One kernel pass over aligned per-cache batch slices."""
+    from bisect import bisect_right
+
     from repro.core.kernels import simulate_batch
 
     offsets: List[int] = []
@@ -639,10 +572,8 @@ def _fused_kernel_slice(caches, pieces, row_bases, ways, set_mask) -> List[np.nd
     for cache, set_index, row_base in zip(caches, set_indices, row_bases):
         for index, stack in cache._kernel_seed_stacks(set_index).items():
             initial[index + row_base] = stack
-    result = simulate_batch(blocks, rows, set_mask, ways, "lru", initial)
+    result = simulate_batch(blocks, rows, set_mask, ways, policy, initial)
     # one pass over the touched rows, routed to their owning lane
-    from bisect import bisect_right
-
     lane_items: List[List] = [[] for _ in caches]
     for rid, stack in result.final_stacks.items():
         lane = bisect_right(row_bases, rid) - 1
@@ -657,14 +588,7 @@ def _fused_kernel_slice(caches, pieces, row_bases, ways, set_mask) -> List[np.nd
         )
     slice_hits: List[np.ndarray] = []
     for lane, (cache, piece) in enumerate(zip(caches, pieces)):
-        count = int(piece.size)
-        lane_hits = result.hits[offsets[lane] : offsets[lane] + count]
-        growth = cache._kernel_apply_state(lane_items[lane], cache._clock)
-        hit_count = int(np.count_nonzero(lane_hits))
-        cache.stats.accesses += count
-        cache.stats.hits += hit_count
-        cache.stats.misses += count - hit_count
-        cache.stats.evictions += (count - hit_count) - growth
-        cache._clock += count
+        lane_hits = result.hits[offsets[lane] : offsets[lane] + int(piece.size)]
+        cache._kernel_commit(lane_items[lane], lane_hits)
         slice_hits.append(lane_hits)
     return slice_hits

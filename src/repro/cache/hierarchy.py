@@ -16,7 +16,7 @@ import numpy as np
 from repro.cache.cache import CacheConfig, CacheStats, SetAssociativeCache
 from repro.errors import ConfigurationError
 
-__all__ = ["CacheHierarchy", "miss_streams"]
+__all__ = ["CacheHierarchy"]
 
 
 def _slices_of(blocks: Iterable[int], size: Optional[int] = None) -> Iterator[np.ndarray]:
@@ -124,10 +124,8 @@ class CacheHierarchy:
         Cache state carries across chunks, so for any chunking of a block
         stream the concatenated output is byte-identical to
         :meth:`miss_stream` on the whole stream, with peak memory bounded
-        by the chunk size.  The chunk loop is inherently sequential (each
-        chunk sees the cache state the previous one left behind); the
-        parallel axis of batch filtering is *across independent traces* —
-        see :func:`miss_streams`.
+        by the chunk size.  The chunk loop is inherently sequential: each
+        chunk sees the cache state the previous one left behind.
         """
         from repro.core.stream import map_chunks
 
@@ -141,35 +139,3 @@ class CacheHierarchy:
         """Reset every level (contents and statistics)."""
         for level in self.levels:
             level.reset()
-
-
-def miss_streams(
-    traces,
-    configs: Sequence[CacheConfig],
-    workers: int = 1,
-    executor=None,
-) -> List[np.ndarray]:
-    """Filter several independent block traces through the same geometry.
-
-    Each trace gets its own fresh hierarchy (independent workloads must not
-    share cache state), so the cells fan out on the executor engine.
-    Results are in input order and identical to
-    ``[CacheHierarchy(configs).miss_stream(t) for t in traces]`` for every
-    strategy.
-
-    Args:
-        traces: Iterable of block-address arrays (one per workload).
-        configs: The hierarchy geometry applied to every trace.
-        workers: Concurrent traces (``0``/``None`` = one per CPU).
-        executor: Strategy name, live executor, or ``None`` for the
-            environment/auto default.
-    """
-    from repro.core.parallel import map_ordered
-    from repro.traces.trace import as_address_array
-
-    configs = tuple(configs)
-
-    def miss_stream(trace) -> np.ndarray:
-        return CacheHierarchy(configs).miss_stream(as_address_array(trace))
-
-    return map_ordered(miss_stream, traces, workers=workers, executor=executor)

@@ -17,8 +17,9 @@ set-parallel stack kernel (:mod:`repro.core.kernels`) — one pass records
 every reference's capped stack distance, so the entire
 miss-ratio-vs-associativity curve costs a single array sweep instead of
 one Python ``list.index`` per reference; :meth:`~LruStackSimulator.access_block`
-remains the per-reference serial oracle and both produce identical
-counters and stack state.
+remains the per-reference serial oracle, which also simulates batches
+shorter than :data:`repro.cache.cache.KERNEL_MIN_BATCH`, and both produce
+identical counters and stack state.
 """
 
 from __future__ import annotations
@@ -31,10 +32,6 @@ import numpy as np
 from repro.errors import ConfigurationError
 
 __all__ = ["MissRatioCurve", "LruStackSimulator", "simulate_miss_curve"]
-
-#: Traces shorter than this are simulated by the serial per-block loop;
-#: below a few hundred references the kernel's sort/pack setup dominates.
-KERNEL_MIN_TRACE = 192
 
 
 @dataclass(frozen=True)
@@ -149,32 +146,29 @@ class LruStackSimulator:
             self._access_array(piece)
 
     def _access_array(self, blocks) -> None:
-        """Kernel-simulate one materialised batch (state carries across)."""
-        from repro.traces.trace import as_address_array
+        """Simulate one materialised batch (state carries across).
+
+        Batches shorter than :data:`repro.cache.cache.KERNEL_MIN_BATCH`
+        take the serial :meth:`access_block` loop, longer ones the kernel.
+        """
+        from repro.cache.cache import KERNEL_MIN_BATCH, kernel_seed_sets
+        from repro.core.kernels import simulate_batch
+        from repro.traces.trace import DEFAULT_CHUNK_ADDRESSES, as_address_array
 
         array = as_address_array(blocks)
         count = int(array.size)
-        if count < KERNEL_MIN_TRACE:
+        if count < KERNEL_MIN_BATCH:
             for block in array.tolist():
                 self.access_block(block)
             return
-        from repro.core.kernels import simulate_batch
-        from repro.traces.trace import DEFAULT_CHUNK_ADDRESSES
-
-        from repro.cache.cache import KERNEL_SEED_SCAN_SETS
-
         for start in range(0, count, DEFAULT_CHUNK_ADDRESSES):
             piece = array[start : start + DEFAULT_CHUNK_ADDRESSES]
             set_index = (piece & np.uint64(self._set_mask)).astype(np.int32)
-            if self.num_sets <= KERNEL_SEED_SCAN_SETS:
-                touched = range(self.num_sets)
-            else:
-                touched = np.unique(set_index).tolist()
-            initial = {}
-            for index in touched:
-                stack = self._stacks[index]
-                if stack:
-                    initial[index] = stack
+            initial = {
+                index: self._stacks[index]
+                for index in kernel_seed_sets(self.num_sets, set_index)
+                if self._stacks[index]
+            }
             result = simulate_batch(
                 piece,
                 set_index,

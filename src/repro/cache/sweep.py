@@ -82,26 +82,14 @@ def miss_ratio_sweep(
     set_counts: Sequence[int],
     max_associativity: int = 32,
     trace_name: str = "",
-    workers: int = 1,
-    executor=None,
 ) -> MissRatioSurface:
     """Simulate a trace once per set count and return the full surface.
-
-    The per-set-count passes are independent, so with ``workers > 1`` (or
-    an explicit ``executor``) they run concurrently on the executor engine
-    (:func:`repro.core.parallel.map_ordered`) — the same worker layer the
-    chunk-compression pipeline and the sweep runner use.  The returned
-    surface is identical for every strategy and worker count.
 
     Args:
         blocks: Block-address trace (any iterable of ints, consumed fully).
         set_counts: Set counts to simulate (each is a separate pass).
         max_associativity: Largest associativity of interest.
         trace_name: Label stored in the returned surface.
-        workers: Number of set-count passes simulated concurrently
-            (``0``/``None`` = one per CPU, like the rest of the pipeline).
-        executor: Strategy name, live executor, or ``None`` for the
-            environment/auto default.
 
     Example:
         >>> surface = miss_ratio_sweep(range(4096), set_counts=(64, 128))
@@ -110,7 +98,6 @@ def miss_ratio_sweep(
         >>> surface.miss_ratio(64, 4)        # a pure streaming trace always misses
         1.0
     """
-    from repro.core.parallel import map_ordered
     from repro.traces.trace import as_address_array
 
     # Normalise to the kernel's native ``uint64`` layout once: every
@@ -118,13 +105,9 @@ def miss_ratio_sweep(
     materialised = as_address_array(
         blocks if isinstance(blocks, np.ndarray) else list(blocks)
     )
-    set_counts = list(set_counts)
-
-    def simulate(num_sets: int) -> MissRatioCurve:
+    curves: Dict[int, MissRatioCurve] = {}
+    for num_sets in set_counts:
         simulator = LruStackSimulator(num_sets, max_associativity=max_associativity)
         simulator.access_trace(materialised)
-        return simulator.curve()
-
-    passes = map_ordered(simulate, set_counts, workers=workers, executor=executor)
-    curves: Dict[int, MissRatioCurve] = dict(zip(set_counts, passes))
+        curves[num_sets] = simulator.curve()
     return MissRatioSurface(trace_name=trace_name, curves=curves)

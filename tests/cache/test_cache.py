@@ -5,7 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.cache.cache import CacheConfig, CacheStats, SetAssociativeCache
+from repro.cache.cache import KERNEL_MIN_BATCH, CacheConfig, CacheStats, SetAssociativeCache
 from repro.errors import ConfigurationError
 
 
@@ -165,13 +165,17 @@ class TestAccessBatchEquivalence:
 
     @pytest.mark.parametrize("policy", ["lru", "fifo", "random"])
     @pytest.mark.parametrize("associativity", [1, 2, 4])
-    def test_hits_stats_and_state_match_serial(self, policy, associativity):
+    @pytest.mark.parametrize(
+        "size",
+        [pytest.param(800, id="800"), pytest.param(KERNEL_MIN_BATCH - 1, id="sub-cutoff")],
+    )
+    def test_hits_stats_and_state_match_serial(self, policy, associativity, size):
         rng = np.random.default_rng(2009)
         config = CacheConfig(num_sets=16, associativity=associativity, policy=policy)
         batched = SetAssociativeCache(config, seed=5)
         serial = SetAssociativeCache(config, seed=5)
         for _ in range(3):
-            blocks = rng.integers(0, 150, size=800, dtype=np.uint64)
+            blocks = rng.integers(0, 150, size=size, dtype=np.uint64)
             assert np.array_equal(batched.access_batch(blocks), _serial_hits(serial, blocks))
             assert batched.stats == serial.stats
             assert batched._sets == serial._sets

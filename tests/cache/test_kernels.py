@@ -4,11 +4,12 @@ The kernel layer (:mod:`repro.core.kernels`) must be *bit-identical* to the
 serial per-reference simulators it replaces: same hit masks, same
 :class:`~repro.cache.cache.CacheStats` counters, same resident blocks and
 replacement stamps, for any trace, chunking and policy.  This suite drives
-random traces through three implementations — the serial loop (the
-semantics oracle), the pre-kernel grouped OrderedDict replay, and the
-kernel — and asserts exact agreement, including the dirty/write-back and
-RANDOM-replacement traces that must take the serial fallback, and chunked
-streaming at chunk sizes 1/7/4096.
+random traces through the two engines of the cache layer — the serial
+per-reference loop (the semantics oracle) and the kernel — and asserts
+exact agreement, including the dirty/write-back and RANDOM-replacement
+traces that must take the serial loop, fused lanes, and chunked streaming
+at chunk sizes 1/7/4096.  :class:`TestSimulateBatchMatchesStackModel`
+pins the kernel itself against a per-reference list model.
 """
 
 from __future__ import annotations
@@ -19,24 +20,18 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import repro.cache.cache as cache_module
-import repro.cache.stackdist as stackdist_module
 import repro.core.kernels as kernels
 from repro.cache.cache import CacheConfig, SetAssociativeCache, access_batches
 from repro.cache.stackdist import LruStackSimulator
 from repro.errors import ConfigurationError
-from repro.traces.filter import (
-    CacheFilter,
-    filter_reference_stream,
-    filter_reference_streams_fused,
-)
+from repro.traces.filter import CacheFilter, filter_reference_stream
 from repro.traces.spec_like import generate_reference_stream
 
 
 @pytest.fixture(autouse=True)
 def _always_kernel(monkeypatch):
-    """Remove the small-batch cutoffs so every batch exercises the kernel."""
+    """Remove the small-batch cutoff so every batch exercises the kernel."""
     monkeypatch.setattr(cache_module, "KERNEL_MIN_BATCH", 0)
-    monkeypatch.setattr(stackdist_module, "KERNEL_MIN_TRACE", 0)
 
 
 def _serial_reference(config: CacheConfig, blocks) -> SetAssociativeCache:
@@ -71,7 +66,7 @@ def _build_trace(values, repeats) -> np.ndarray:
 
 
 class TestKernelEquivalence:
-    """Serial loop vs grouped replay vs kernel, across the policy grid."""
+    """Serial loop vs batch access, across the policy grid."""
 
     @pytest.mark.parametrize("policy", ["lru", "fifo", "random"])
     @pytest.mark.parametrize("ways", [1, 2, 4, 8])
@@ -85,21 +80,6 @@ class TestKernelEquivalence:
         for chunk in np.array_split(trace, 3):
             assert np.array_equal(batched.access_batch(chunk), _serial_hits(serial, chunk))
         _assert_same_state(batched, serial)
-
-    @pytest.mark.parametrize("policy", ["lru", "fifo"])
-    @pytest.mark.parametrize("ways", [2, 4, 8])
-    @settings(max_examples=15, deadline=None, suppress_health_check=[HealthCheck.too_slow])
-    @given(values=_blocks, repeats=_repeats)
-    def test_kernel_matches_grouped_replay(self, policy, ways, values, repeats):
-        """The pre-kernel grouped path and the kernel agree exactly."""
-        trace = _build_trace(values, repeats)
-        config = CacheConfig(num_sets=16, associativity=ways, policy=policy)
-        kernel = SetAssociativeCache(config)
-        grouped = SetAssociativeCache(config)
-        kernel_hits = kernel._access_batch_kernel(trace)
-        grouped_hits = grouped._access_batch_grouped(trace)
-        assert np.array_equal(kernel_hits, grouped_hits)
-        _assert_same_state(kernel, grouped)
 
     @pytest.mark.parametrize("chunk_size", [1, 7, 4096])
     @pytest.mark.parametrize("policy", ["lru", "fifo"])
@@ -157,9 +137,11 @@ class TestKernelEquivalence:
 
 
 class TestFusedBatches:
+    @pytest.mark.parametrize("lanes", ["distinct", "same-cache-twice"])
     @settings(max_examples=10, deadline=None, suppress_health_check=[HealthCheck.too_slow])
     @given(values=_blocks, repeats=_repeats, split=st.integers(min_value=1, max_value=9))
-    def test_fused_lanes_match_independent_caches(self, values, repeats, split):
+    def test_fused_lanes_match_independent_caches(self, lanes, values, repeats, split):
+        """Distinct caches fuse; a cache listed twice sees its batches in order."""
         trace = _build_trace(values, repeats)
         cut = (trace.size * split) // 10
         batches = [trace[:cut], trace[cut:]]
@@ -167,11 +149,17 @@ class TestFusedBatches:
             CacheConfig(num_sets=16, associativity=4),
             CacheConfig(num_sets=8, associativity=2),
         )
-        fused = [SetAssociativeCache(config) for config in configs]
-        solo = [SetAssociativeCache(config) for config in configs]
+        if lanes == "distinct":
+            fused = [SetAssociativeCache(config) for config in configs]
+            solo = [SetAssociativeCache(config) for config in configs]
+        else:
+            fused = [SetAssociativeCache(configs[0])] * 2
+            solo = [SetAssociativeCache(configs[0])] * 2
         masks = access_batches(fused, batches)
-        for cache, reference, mask, batch in zip(fused, solo, masks, batches):
-            assert np.array_equal(mask, _serial_hits(reference, batch))
+        expected = [_serial_hits(reference, batch) for reference, batch in zip(solo, batches)]
+        for mask, reference_mask in zip(masks, expected):
+            assert np.array_equal(mask, reference_mask)
+        for cache, reference in zip(fused, solo):
             _assert_same_state(cache, reference)
 
     def test_lane_count_mismatch_rejected(self):
@@ -179,12 +167,18 @@ class TestFusedBatches:
         with pytest.raises(ConfigurationError, match="block batches"):
             access_batches([SetAssociativeCache(config)], [])
 
-    def test_ineligible_caches_fall_back(self):
-        """A RANDOM-policy lane routes through plain per-cache batches."""
-        configs = (
+    @pytest.mark.parametrize(
+        "second",
+        [
             CacheConfig(num_sets=4, associativity=2, policy="random"),
-            CacheConfig(num_sets=4, associativity=2, policy="lru"),
-        )
+            CacheConfig(num_sets=4, associativity=2, policy="fifo"),
+            CacheConfig(num_sets=1, associativity=4, policy="lru"),
+        ],
+        ids=["random-lane", "fifo-lane", "single-set-lane"],
+    )
+    def test_ineligible_caches_fall_back(self, second):
+        """RANDOM, FIFO and single-set lanes route through plain per-cache batches."""
+        configs = (second, CacheConfig(num_sets=4, associativity=2, policy="lru"))
         rng = np.random.default_rng(3)
         batches = [rng.integers(0, 50, size=300, dtype=np.uint64) for _ in configs]
         fused = [SetAssociativeCache(config, seed=1) for config in configs]
@@ -193,6 +187,39 @@ class TestFusedBatches:
         for cache, reference, mask, batch in zip(fused, solo, masks, batches):
             assert np.array_equal(mask, _serial_hits(reference, batch))
             _assert_same_state(cache, reference)
+
+
+class TestKernelSeeding:
+    """Geometries above ``KERNEL_SEED_SCAN_SETS`` seed only the touched sets;
+    the cache and the stack-distance simulator share that rule."""
+
+    _SETS = 2 * cache_module.KERNEL_SEED_SCAN_SETS
+
+    def _warm_then_reuse(self):
+        rng = np.random.default_rng(12)
+        warm = rng.integers(0, 6 * self._SETS, size=6_000, dtype=np.uint64)
+        fresh = rng.integers(0, 6 * self._SETS, size=1_000, dtype=np.uint64)
+        return warm, np.concatenate([warm[-2_000:], fresh])
+
+    def test_cache_carries_state_across_batches(self):
+        warm, reuse = self._warm_then_reuse()
+        config = CacheConfig(num_sets=self._SETS, associativity=4)
+        batched = SetAssociativeCache(config)
+        serial = SetAssociativeCache(config)
+        for batch in (warm, reuse):
+            assert np.array_equal(batched.access_batch(batch), _serial_hits(serial, batch))
+        _assert_same_state(batched, serial)
+
+    def test_stack_distance_carries_state_across_batches(self):
+        warm, reuse = self._warm_then_reuse()
+        kernel = LruStackSimulator(self._SETS, max_associativity=4)
+        serial = LruStackSimulator(self._SETS, max_associativity=4)
+        for batch in (warm, reuse):
+            kernel.access_trace(batch)
+            for block in batch.tolist():
+                serial.access_block(block)
+        assert kernel.curve() == serial.curve()
+        assert kernel._stacks == serial._stacks
 
 
 class TestStackDistanceKernel:
@@ -295,16 +322,29 @@ class TestKernelRouting:
 
 class TestFilterKernelPaths:
     def test_fused_filter_matches_sequential(self):
+        """Two filters' four caches march as one four-lane kernel call."""
         streams = [
             generate_reference_stream(name, 2_000, seed=0)
             for name in ("429.mcf", "462.libquantum")
         ]
-        fused = filter_reference_streams_fused(streams)
-        for stream, result in zip(streams, fused):
+        filters = [CacheFilter() for _ in streams]
+        caches, batches, splits = [], [], []
+        for stream, cache_filter in zip(streams, filters):
+            blocks = (stream.addresses >> np.uint64(6)).astype(np.uint64)
+            is_instruction = stream.is_instruction.astype(bool)
+            caches += [cache_filter.instruction_cache, cache_filter.data_cache]
+            batches += [blocks[is_instruction], blocks[~is_instruction]]
+            splits.append((blocks, is_instruction))
+        masks = access_batches(caches, batches)
+        for index, (stream, cache_filter) in enumerate(zip(streams, filters)):
+            blocks, is_instruction = splits[index]
+            miss_mask = np.zeros(blocks.size, dtype=bool)
+            miss_mask[is_instruction] = ~masks[2 * index]
+            miss_mask[~is_instruction] = ~masks[2 * index + 1]
             expected = filter_reference_stream(stream)
-            assert np.array_equal(result.trace.addresses, expected.trace.addresses)
-            assert result.instruction_stats == expected.instruction_stats
-            assert result.data_stats == expected.data_stats
+            assert np.array_equal(blocks[miss_mask], expected.trace.addresses)
+            assert cache_filter.instruction_cache.stats == expected.instruction_stats
+            assert cache_filter.data_cache.stats == expected.data_stats
 
     def test_filter_matches_per_reference_caches(self):
         stream = generate_reference_stream("403.gcc", 3_000, seed=1)

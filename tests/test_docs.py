@@ -2,10 +2,12 @@
 
 Two layers of enforcement:
 
-* **Structure** — every page mkdocs.yml navigates to exists, and every
+* **Structure** — every page mkdocs.yml navigates to exists, every
   relative markdown link inside ``docs/`` resolves to a real file/anchor
   target, so ``mkdocs build --strict`` cannot fail on the CI docs job for
-  structural reasons the test suite would miss locally.
+  structural reasons the test suite would miss locally, and every
+  backticked dotted ``repro.…`` name in the pages and the README still
+  exists in the library.
 * **Spec truth** — ``docs/atc-format.md`` is a byte-level specification;
   this module re-parses the golden containers under ``tests/data/golden/``
   with an *independent* reader that follows the documented offsets and
@@ -17,6 +19,7 @@ Two layers of enforcement:
 from __future__ import annotations
 
 import bz2
+import importlib
 import json
 import lzma
 import re
@@ -152,6 +155,38 @@ class TestDocsStructure:
         for target in re.findall(r"\]\((docs/[\w-]+\.md)\)", readme):
             assert (_REPO / target).is_file(), f"README links to missing {target}"
         assert "docs/" in readme, "README must link into the documentation site"
+
+
+def _resolve_dotted(dotted: str):
+    """Import the longest module prefix of ``dotted``, then ``getattr`` the rest."""
+    parts = dotted.split(".")
+    for cut in range(len(parts), 0, -1):
+        try:
+            target = importlib.import_module(".".join(parts[:cut]))
+        except ImportError:
+            continue
+        for name in parts[cut:]:
+            target = getattr(target, name)
+        return target
+    raise ImportError(dotted)
+
+
+class TestDocumentedNamesResolve:
+    def test_backticked_repro_paths_resolve(self):
+        pages = sorted(_DOCS.glob("*.md")) + [_REPO / "README.md"]
+        mentions = [
+            (page.name, dotted)
+            for page in pages
+            for dotted in re.findall(r"`(repro(?:\.[A-Za-z_]\w*)+)`", page.read_text(encoding="utf-8"))
+        ]
+        assert len(mentions) >= 30, "the docs name far fewer repro.* paths than expected"
+        stale = []
+        for page, dotted in mentions:
+            try:
+                _resolve_dotted(dotted)
+            except (ImportError, AttributeError):
+                stale.append(f"{page}: {dotted}")
+        assert not stale, "documented names that no longer exist: " + ", ".join(stale)
 
 
 class TestAtcFormatSpecAgainstGoldenFixtures:
