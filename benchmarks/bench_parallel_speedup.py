@@ -3,10 +3,10 @@
 The paper gets its single-pass speed by overlapping compression with trace
 generation (an external ``bzip2 -c`` process on another core); this bench
 records how well the in-process reproduction of that overlap — the chunk
-pipeline on the selected executor — scales on the machine the harness runs
-on.  Two benchmarks compress the *same* trace with the same configuration,
-once with ``workers=1`` (fully serial) and once with ``workers=4`` on the
-``--executor`` strategy (threads by default); the ratio of the two medians
+pipeline on a thread pool — scales on the machine the harness runs on.
+Two benchmarks compress the *same* trace with the same configuration, once
+with ``workers=1`` (fully serial) and once with ``workers=4`` (a
+four-thread pool); the ratio of the two medians
 is the pipeline speedup, and the containers are asserted byte-identical
 (the pipeline's hard invariant).
 
@@ -62,24 +62,21 @@ def _container_digest(directory: Path) -> str:
     return digest.hexdigest()
 
 
-def _encode(trace: np.ndarray, directory: Path, workers: int, executor=None) -> Path:
-    config = LossyConfig(
-        chunk_buffer_addresses=CHUNK_ADDRESSES, backend="bz2", workers=workers, executor=executor
-    )
+def _encode(trace: np.ndarray, directory: Path, workers: int) -> Path:
+    config = LossyConfig(chunk_buffer_addresses=CHUNK_ADDRESSES, backend="bz2", workers=workers)
     compress_trace(trace, directory, mode=MODE_LOSSLESS, config=config)
     return directory
 
 
-def _bench_encode(benchmark, tmp_path_factory, trace, workers, label, executor=None):
+def _bench_encode(benchmark, tmp_path_factory, trace, workers, label):
     counter = iter(range(1_000_000))
 
     def run():
         directory = tmp_path_factory.mktemp(f"{label}-{next(counter)}") / "container"
-        return _encode(trace, directory, workers, executor)
+        return _encode(trace, directory, workers)
 
     directory = benchmark(run)
     benchmark.extra_info["workers"] = workers
-    benchmark.extra_info["executor"] = executor or "auto"
     benchmark.extra_info["trace_addresses"] = int(trace.size)
     benchmark.extra_info["addresses_per_second"] = trace.size / benchmark.stats.stats.median
     return _container_digest(directory)
@@ -91,11 +88,9 @@ def test_encode_serial_1m(benchmark, tmp_path_factory, speedup_trace):
     benchmark.extra_info["container_sha256"] = digest
 
 
-def test_encode_parallel_1m(benchmark, tmp_path_factory, speedup_trace, bench_executor):
+def test_encode_parallel_1m(benchmark, tmp_path_factory, speedup_trace):
     """Pipeline: same trace, four workers; container must be byte-identical."""
-    digest = _bench_encode(
-        benchmark, tmp_path_factory, speedup_trace, PARALLEL_WORKERS, "parallel", bench_executor
-    )
+    digest = _bench_encode(benchmark, tmp_path_factory, speedup_trace, PARALLEL_WORKERS, "parallel")
     benchmark.extra_info["container_sha256"] = digest
     serial_dir = tmp_path_factory.mktemp("serial-ref") / "container"
     _encode(speedup_trace, serial_dir, workers=1)

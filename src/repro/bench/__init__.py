@@ -6,7 +6,7 @@ speed a *guarded* quantity instead of a measured-and-forgotten one:
 * :mod:`repro.bench.suite` — the operational benchmark suite (trace
   generation + cache filtering, lossless/lossy encode, decode), executed
   programmatically at a reproducible :class:`~repro.bench.suite.BenchScale`
-  with a selectable executor;
+  at a selectable worker count;
 * :mod:`repro.bench.report` — the normalized machine-readable report
   format (``BENCH_*.json``), with a dependency-free schema validator;
 * :mod:`repro.bench.compare` — the regression gate's decision logic:
@@ -20,7 +20,7 @@ for the selection guide and the baseline-refresh procedure).
 Example:
     >>> from repro.bench import BenchScale, run_suite, build_report, validate_report
     >>> results = run_suite(BenchScale(references=2000))
-    >>> report = validate_report(build_report(results, BenchScale(references=2000), "serial", 1))
+    >>> report = validate_report(build_report(results, BenchScale(references=2000), workers=1))
     >>> report["schema"]
     'repro-bench-report/1'
 """
@@ -39,7 +39,6 @@ from repro.bench.suite import (
     SUITE_BENCHES_NAMES,
     BenchResult,
     BenchScale,
-    resolved_executor_name,
     run_profile,
     run_suite,
 )
@@ -51,7 +50,6 @@ __all__ = [
     "SUITE_BENCHES_NAMES",
     "run_suite",
     "run_profile",
-    "resolved_executor_name",
     "REPORT_SCHEMA",
     "build_report",
     "validate_report",

@@ -62,17 +62,20 @@ _BENCH_OPTIONAL_NUMERIC = ("payload_bytes", "bits_per_address")
 def build_report(
     results: List[BenchResult],
     scale: BenchScale,
-    executor: str,
     workers: int,
 ) -> Dict:
-    """Assemble the normalized report dict from executed suite results."""
+    """Assemble the normalized report dict from executed suite results.
+
+    The ``executor`` field records how the parallel cases ran: ``"serial"``
+    (inline) for one worker, ``"thread"`` (a thread pool) otherwise.
+    """
     import repro
 
     return {
         "schema": REPORT_SCHEMA,
         "package_version": repro.__version__,
         "scale": scale.to_dict(),
-        "executor": str(executor),
+        "executor": "serial" if workers == 1 else "thread",
         "workers": int(workers),
         "machine": {
             "python": platform.python_version(),

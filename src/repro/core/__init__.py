@@ -30,17 +30,7 @@ from repro.core.histograms import (
 )
 from repro.core.intervals import ChunkTable, IntervalRecord
 from repro.core.lossless import LosslessCodec, lossless_compress, lossless_decompress
-from repro.core.parallel import (
-    EXECUTOR_NAMES,
-    Executor,
-    OrderedChunkWriter,
-    SerialExecutor,
-    ThreadExecutor,
-    executor_scope,
-    map_ordered,
-    resolve_executor,
-    resolve_workers,
-)
+from repro.core.parallel import OrderedChunkWriter, map_ordered, resolve_workers
 from repro.core.kernels import KernelBatchResult, simulate_batch
 from repro.core.stream import (
     DEFAULT_CHUNK_ADDRESSES,
@@ -87,14 +77,8 @@ __all__ = [
     "CompressionBackend",
     "get_backend",
     "available_backends",
-    "EXECUTOR_NAMES",
-    "Executor",
-    "SerialExecutor",
-    "ThreadExecutor",
     "OrderedChunkWriter",
-    "executor_scope",
     "map_ordered",
-    "resolve_executor",
     "resolve_workers",
     "bytesort_window",
     "bytesort_inverse_window",

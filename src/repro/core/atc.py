@@ -26,6 +26,7 @@ so a lossless container is simply a lossy container that never imitates.
 from __future__ import annotations
 
 from collections import OrderedDict
+from concurrent.futures import ThreadPoolExecutor
 from typing import Dict, Iterator, List, Optional, Union
 
 import numpy as np
@@ -35,7 +36,7 @@ from repro.core.integrity import chunk_digest, parse_chunk_digests
 from repro.core.intervals import IntervalRecord, materialize_interval
 from repro.core.lossless import LosslessCodec
 from repro.core.lossy import LossyConfig, LossyIntervalEncoder
-from repro.core.parallel import OrderedChunkWriter, executor_scope, resolve_workers
+from repro.core.parallel import OrderedChunkWriter, map_ordered, resolve_workers
 from repro.errors import CodecError, ConfigurationError, IntegrityError
 from repro.traces.trace import DEFAULT_CHUNK_ADDRESSES, AddressTrace, as_address_array
 
@@ -68,11 +69,6 @@ class AtcEncoder:
             In lossless mode only ``chunk_buffer_addresses`` and ``backend``
             are used (each bytesort buffer becomes a chunk).
         suffix: Chunk file suffix; defaults to the back-end name.
-        executor: Execution strategy for the chunk pipeline — a name
-            (``"serial"``/``"thread"``) or a live
-            :class:`~repro.core.executors.Executor` to share across
-            encoders; overrides ``config.executor``.  Containers are
-            byte-identical for every strategy.
         format_version: Container format to write — ``2`` (the default)
             records a digest per chunk plus an INFO footer digest so every
             decode path verifies the bytes it reads; ``1`` reproduces the
@@ -86,7 +82,6 @@ class AtcEncoder:
         mode: str = MODE_LOSSY,
         config: Optional[LossyConfig] = None,
         suffix: Optional[str] = None,
-        executor=None,
         format_version: int = FORMAT_VERSION,
     ) -> None:
         if mode not in (MODE_LOSSY, MODE_LOSSLESS):
@@ -119,17 +114,13 @@ class AtcEncoder:
         # buffer, or of the caller's array in :meth:`code_many`).
         self._buffer = np.empty(self._flush_threshold, dtype=np.uint64)
         self._buffered = 0
-        # Ordered parallel chunk pipeline: chunk payloads are compressed on
-        # the selected executor and written back to the container in
-        # submission order; on the serial default it runs inline.  The
-        # write callback runs on the caller's thread regardless of
-        # executor, so digest collection here is race-free.
+        # Ordered parallel chunk pipeline: with ``config.workers > 1`` chunk
+        # payloads are compressed on a thread pool and written back to the
+        # container in submission order; with one worker it runs inline.
+        # The write callback always runs on the caller's thread, so digest
+        # collection here is race-free.
         self._chunk_digests: Dict[int, str] = {}
-        self._pipeline = OrderedChunkWriter(
-            self._write_chunk,
-            workers=self.config.workers,
-            executor=executor if executor is not None else self.config.executor,
-        )
+        self._pipeline = OrderedChunkWriter(self._write_chunk, workers=self.config.workers)
 
     def _write_chunk(self, chunk_id: int, payload: bytes):
         if self.format_version >= 2:
@@ -289,10 +280,6 @@ class AtcDecoder:
             containers reference the same chunk from many imitation
             records, so a small bounded cache replaces re-decoding without
             the unbounded memory growth a plain dict would have.
-        executor: Execution strategy for the prefetch/bulk-decode fan-out —
-            a name or a live :class:`~repro.core.executors.Executor`;
-            ``None`` falls back to ``REPRO_EXECUTOR``/auto.  The decoded
-            output never depends on the strategy.
     """
 
     #: Default capacity of the decoded-chunk LRU cache.
@@ -305,7 +292,6 @@ class AtcDecoder:
         suffix: Optional[str] = None,
         workers: int = 1,
         cache_chunks: int = DEFAULT_CACHE_CHUNKS,
-        executor=None,
     ) -> None:
         # The chunk-file suffix names the back-end on disk (INFO.bz2,
         # INFO.zlib, ...), so an unspecified back-end is detected from it.
@@ -327,7 +313,6 @@ class AtcDecoder:
         )
         self._chunk_digests = parse_chunk_digests(metadata)
         self._workers = resolve_workers(workers)
-        self._executor_spec = executor
         if cache_chunks < 1:
             raise ConfigurationError("cache_chunks must be >= 1")
         # The prefetch lookahead must fit in the cache, or a prefetched
@@ -378,51 +363,36 @@ class AtcDecoder:
     def _interval_piece(self, record: IntervalRecord, source: np.ndarray) -> np.ndarray:
         return materialize_interval(record, source)
 
-    def _prefetch_wanted(self) -> bool:
-        """True when iteration should prefetch chunks on an executor.
-
-        ``executor_kind`` consults ``REPRO_EXECUTOR`` for a ``None`` spec,
-        so the environment knob enables prefetch here exactly like it does
-        at every other fan-out site.
-        """
-        if len(self.records) <= 1:
-            return False
-        if self._workers > 1:
-            return True
-        from repro.core.parallel import executor_kind
-
-        return executor_kind(self._executor_spec) == "thread"
-
     def iter_intervals(self) -> Iterator[np.ndarray]:
         """Yield the decoded address array of every interval, in order.
 
-        With ``workers > 1`` (or a parallel ``executor``) the chunks of
-        upcoming intervals are prefetched — read and decompressed — on the
-        selected executor while earlier intervals are being consumed; the
-        yielded sequence is identical to the serial one.
+        With ``workers > 1`` the chunks of upcoming intervals are
+        prefetched — read and decompressed — on a thread pool while earlier
+        intervals are being consumed; the yielded sequence is identical to
+        the serial one.
         """
-        if self._prefetch_wanted():
+        if self._workers > 1 and len(self.records) > 1:
             yield from self._iter_intervals_prefetch()
             return
         for record in self.records:
             yield self._interval_piece(record, self._chunk_addresses(record.chunk_id))
 
     def _iter_intervals_prefetch(self) -> Iterator[np.ndarray]:
-        with executor_scope(self._executor_spec, self._workers) as engine:
-            handles = {}
+        with ThreadPoolExecutor(max_workers=self._workers) as pool:
+            futures = {}
             try:
                 for index, record in enumerate(self.records):
                     for upcoming in self.records[index : index + self._lookahead]:
                         chunk_id = upcoming.chunk_id
-                        if chunk_id not in handles and chunk_id not in self._chunk_cache:
-                            handles[chunk_id] = engine.submit(self._load_chunk, chunk_id)
-                    handle = handles.pop(record.chunk_id, None)
-                    if handle is not None:
-                        self._store_chunk(record.chunk_id, handle.result())
+                        if chunk_id not in futures and chunk_id not in self._chunk_cache:
+                            futures[chunk_id] = pool.submit(self._load_chunk, chunk_id)
+                    future = futures.pop(record.chunk_id, None)
+                    if future is not None:
+                        self._store_chunk(record.chunk_id, future.result())
                     yield self._interval_piece(record, self._chunk_addresses(record.chunk_id))
             finally:
-                for handle in handles.values():
-                    handle.cancel()
+                for future in futures.values():
+                    future.cancel()
 
     def iter_chunks(self, chunk_addresses: int = DEFAULT_CHUNK_ADDRESSES) -> Iterator[np.ndarray]:
         """Yield the decoded trace as fixed-size address chunks, in order.
@@ -470,9 +440,7 @@ class AtcDecoder:
         }
         missing = [chunk_id for chunk_id in needed if chunk_id not in decoded]
         if missing:
-            with executor_scope(self._executor_spec, self._workers) as engine:
-                loaded = engine.map_ordered(self._load_chunk, missing)
-            decoded.update(zip(missing, loaded))
+            decoded.update(zip(missing, map_ordered(self._load_chunk, missing, self._workers)))
         return [self._interval_piece(record, decoded[record.chunk_id]) for record in self.records]
 
     def __iter__(self) -> Iterator[int]:
@@ -536,7 +504,6 @@ def atc_open(
     config: Optional[LossyConfig] = None,
     suffix: Optional[str] = None,
     workers: int = 1,
-    executor=None,
 ) -> Union[AtcEncoder, AtcDecoder]:
     """Open an ATC container, mirroring the paper's ``atc_open`` entry point.
 
@@ -548,13 +515,11 @@ def atc_open(
             ``workers`` field controls encoder parallelism).
         suffix: Chunk file suffix override.
         workers: Chunk-prefetch parallelism for decode mode.
-        executor: Execution strategy (name or instance) for either mode's
-            fan-out; ``None`` = config / environment default.
     """
     if mode == MODE_DECODE:
-        return AtcDecoder(directory, suffix=suffix, workers=workers, executor=executor)
+        return AtcDecoder(directory, suffix=suffix, workers=workers)
     if mode in (MODE_LOSSY, MODE_LOSSLESS):
-        return AtcEncoder(directory, mode=mode, config=config, suffix=suffix, executor=executor)
+        return AtcEncoder(directory, mode=mode, config=config, suffix=suffix)
     raise ConfigurationError(f"atc_open mode must be 'k', 'c' or 'd', got {mode!r}")
 
 
@@ -585,12 +550,12 @@ def compress_trace(
     config = config if config is not None else LossyConfig()
     with AtcEncoder(directory, mode=mode, config=config) as encoder:
         encoder.code_many(values)
-    return AtcDecoder(directory, workers=config.workers, executor=config.executor)
+    return AtcDecoder(directory, workers=config.workers)
 
 
-def decompress_trace(directory, workers: int = 1, executor=None) -> np.ndarray:
+def decompress_trace(directory, workers: int = 1) -> np.ndarray:
     """Decode an ATC container directory into an address array."""
-    return AtcDecoder(directory, workers=workers, executor=executor).read_all()
+    return AtcDecoder(directory, workers=workers).read_all()
 
 
 def compress_stream(
@@ -609,11 +574,11 @@ def compress_stream(
     config = config if config is not None else LossyConfig()
     with AtcEncoder(directory, mode=mode, config=config) as encoder:
         encoder.encode_stream(chunks)
-    return AtcDecoder(directory, workers=config.workers, executor=config.executor)
+    return AtcDecoder(directory, workers=config.workers)
 
 
 def decompress_stream(
-    directory, chunk_addresses: int = DEFAULT_CHUNK_ADDRESSES, workers: int = 1, executor=None
+    directory, chunk_addresses: int = DEFAULT_CHUNK_ADDRESSES, workers: int = 1
 ) -> Iterator[np.ndarray]:
     """Decode an ATC container as a bounded-memory address-chunk stream.
 
@@ -621,4 +586,4 @@ def decompress_stream(
     chunks equal ``decompress_trace(directory)`` exactly, but peak memory
     is bounded by the chunk size plus one decoded interval.
     """
-    return AtcDecoder(directory, workers=workers, executor=executor).iter_chunks(chunk_addresses)
+    return AtcDecoder(directory, workers=workers).iter_chunks(chunk_addresses)

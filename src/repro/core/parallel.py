@@ -1,59 +1,46 @@
-"""Ordered parallel primitives of the chunk pipeline, on the executor engine.
+"""Ordered parallel primitives of the chunk pipeline.
 
 The paper's ATC tool overlaps compression with trace generation by piping
 bytesorted blocks through an external ``bzip2 -c`` process; the operating
 system runs the compressor on another core.  This module reproduces that
-overlap in-process on top of the pluggable executor engine
-(:mod:`repro.core.executors`): work runs either inline (``serial``) or on
-a thread pool (``thread`` — the stdlib codecs release the GIL, so the
-compressor overlaps the caller just as the external process does).
+overlap in-process with a thread pool: the stdlib codecs release the GIL,
+so the compressor overlaps the caller just as the external process does.
 
-Two primitives are provided on top of the engine:
+``workers`` is the only parallelism setting.  ``workers == 1`` runs every
+task inline on the caller's thread — the serial oracle the parallel path
+must be byte-identical to.  ``workers > 1`` submits to a
+:class:`concurrent.futures.ThreadPoolExecutor` of that size, owned (created
+and shut down) by the call site.  ``0``/``None`` mean one worker per CPU.
+
+Three primitives are provided:
 
 * :func:`map_ordered` — a bounded ``map`` that preserves input order (used
-  for bulk chunk compression, decoder prefetch, sweep cells).
+  for bulk chunk compression, decoder bulk reads, sweep cells).
+* :func:`imap_ordered` — its lazy form over an unbounded item stream.
 * :class:`OrderedChunkWriter` — a streaming pipeline stage: submit
   ``(chunk_id, fn, args)`` triples as chunk boundaries are reached;
   completed payloads are written back strictly in submission order, and at
   most ``max_pending`` chunks are in flight so memory stays bounded.
 
-Both degrade to plain synchronous execution on the serial executor, which
-keeps the default path free of pool overhead and makes the byte-identity
-invariant (parallel output == serial output) easy to test.  The executor
-is selected per call site (``executor=`` accepts a strategy name or a live
-:class:`~repro.core.executors.Executor` to share), falling back to the
-``REPRO_EXECUTOR`` environment variable and the worker-count heuristic —
-see :func:`~repro.core.executors.resolve_executor`.
+Every primitive returns results in input order, so the chunk pipeline's
+hard invariant (parallel output byte-identical to serial output) holds by
+construction.  A task exception propagates to the caller unchanged; on
+that error path unstarted tasks are cancelled and the pool's threads are
+joined before the exception leaves the primitive.
 """
 
 from __future__ import annotations
 
+import itertools
+import os
 from collections import deque
-from typing import Callable, Deque, List, Optional, Sequence, Tuple, TypeVar
+from concurrent.futures import Future, ThreadPoolExecutor
+from typing import Callable, Deque, Iterable, Iterator, List, Optional, Tuple, TypeVar
 
-from repro.core.executors import (
-    EXECUTOR_NAMES,
-    Executor,
-    SerialExecutor,
-    TaskHandle,
-    ThreadExecutor,
-    executor_kind,
-    executor_scope,
-    resolve_executor,
-    resolve_workers,
-)
 from repro.errors import ConfigurationError
 
 __all__ = [
-    "EXECUTOR_NAMES",
-    "Executor",
-    "SerialExecutor",
-    "ThreadExecutor",
-    "TaskHandle",
     "resolve_workers",
-    "resolve_executor",
-    "executor_scope",
-    "executor_kind",
     "map_ordered",
     "imap_ordered",
     "OrderedChunkWriter",
@@ -63,46 +50,41 @@ _T = TypeVar("_T")
 _R = TypeVar("_R")
 
 
-def map_ordered(
-    fn: Callable[[_T], _R],
-    items: Sequence[_T],
-    workers: int = 1,
-    executor=None,
-) -> List[_R]:
+def resolve_workers(workers: Optional[int]) -> int:
+    """Normalise a worker-count knob to a concrete positive integer.
+
+    ``None`` and ``0`` mean "one worker per available CPU"; any positive
+    integer is taken literally; negative values and non-integers are
+    rejected.
+
+    Example:
+        >>> resolve_workers(3)
+        3
+    """
+    if workers is None or workers == 0:
+        return os.cpu_count() or 1
+    if not isinstance(workers, int) or workers < 0:
+        raise ConfigurationError(f"workers must be a non-negative integer or None, got {workers!r}")
+    return workers
+
+
+def map_ordered(fn: Callable[[_T], _R], items: Iterable[_T], workers: int = 1) -> List[_R]:
     """Apply ``fn`` to every item, in parallel, preserving input order.
 
-    With one worker (or fewer than two items) and no explicit executor this
-    is a plain list comprehension; otherwise the work runs on the resolved
-    executor (threads unless ``executor`` or ``REPRO_EXECUTOR`` says
-    ``serial``).
-
-    Args:
-        fn: The per-item function.
-        items: The inputs, fully materialised.
-        workers: Pool size for executors created here (``0``/``None`` = one
-            per CPU).
-        executor: Strategy name, :class:`Executor` instance to borrow, or
-            ``None`` for the environment/auto default.
+    With one worker (or fewer than two items) this is a plain list
+    comprehension; otherwise the items run on a thread pool of ``workers``
+    threads (``0``/``None`` = one per CPU) created for this call.
     """
     items = list(items)
-    if len(items) <= 1:
-        return [fn(item) for item in items]
-    # Inline only when nothing asked for parallelism: no explicit executor,
-    # one worker, and no REPRO_EXECUTOR override (executor_kind consults the
-    # environment for a None spec) — so the env knob flips this site too.
-    if executor is None and resolve_workers(workers) <= 1 and executor_kind(None) == "auto":
-        return [fn(item) for item in items]
-    with executor_scope(executor, workers) as engine:
-        return engine.map_ordered(fn, items)
+    return list(imap_ordered(fn, items, workers=workers if len(items) > 1 else 1))
 
 
 def imap_ordered(
     fn: Callable[[_T], _R],
-    items,
+    items: Iterable[_T],
     workers: int = 1,
-    executor=None,
     lookahead: Optional[int] = None,
-):
+) -> Iterator[_R]:
     """Lazily apply ``fn`` to an item stream, yielding results in order.
 
     The streaming form of :func:`map_ordered`: ``items`` may be any
@@ -110,48 +92,58 @@ def imap_ordered(
     results are yielded, with at most ``lookahead`` tasks (default
     ``2 * workers``) in flight ahead of the consumer — so both the input
     items and the pending results stay bounded regardless of stream
-    length.  Results are byte-identical to ``map(fn, items)`` for every
-    strategy; on the serial path items are processed one at a time with
-    no window at all.
+    length.  Results are identical to ``map(fn, items)`` for every worker
+    count; with one worker items are processed inline, one at a time.
 
     Args:
         fn: The per-item function.
         items: The inputs; consumed lazily.
-        workers: Pool size for executors created here (``0``/``None`` =
-            one per CPU).
-        executor: Strategy name, :class:`Executor` instance to borrow, or
-            ``None`` for the environment/auto default.
+        workers: Thread-pool size (``1`` = inline, ``0``/``None`` = one per
+            CPU).
         lookahead: In-flight window override (defaults to ``2 * workers``).
 
     Example:
         >>> list(imap_ordered(lambda value: value * 2, iter([1, 2, 3])))
         [2, 4, 6]
     """
-    if executor is None and resolve_workers(workers) <= 1 and executor_kind(None) == "auto":
+    workers = resolve_workers(workers)
+    if workers <= 1:
         for item in items:
             yield fn(item)
         return
-    with executor_scope(executor, workers) as engine:
-        for result in engine.imap_ordered(fn, items, lookahead=lookahead):
-            yield result
+    window = max(1, 2 * workers if lookahead is None else lookahead)
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+        pending: Deque[Future] = deque()
+        iterator = iter(items)
+        try:
+            for item in itertools.islice(iterator, window):
+                pending.append(pool.submit(fn, item))
+            while pending:
+                # Collect the oldest result before topping the window up, so
+                # at most ``window`` submitted tasks are ever unfinished.
+                result = pending.popleft().result()
+                for item in itertools.islice(iterator, 1):
+                    pending.append(pool.submit(fn, item))
+                yield result
+        finally:
+            # Error or early close: drop unstarted tasks before the pool
+            # joins its threads on exit.
+            for future in pending:
+                future.cancel()
 
 
 class OrderedChunkWriter:
-    """Run chunk tasks on an executor, writing results in submission order.
+    """Run chunk tasks, writing their results back in submission order.
 
     Args:
         write: Callback ``write(chunk_id, payload)`` invoked on the caller's
             thread, strictly in the order chunks were submitted.
-        workers: Pool size when the writer creates its own executor; ``1``
-            (with no explicit ``executor``) selects inline serial execution,
-            the reference behaviour, and ``0``/``None`` means one worker
-            per CPU.
+        workers: ``1`` runs every task inline at submission (the reference
+            behaviour); more creates a thread pool of that size, shut down
+            with the writer.  ``0``/``None`` means one worker per CPU.
         max_pending: Maximum number of chunks in flight before :meth:`submit`
             blocks on the oldest one (defaults to ``2 * workers``), bounding
             the memory held by buffered intervals and finished payloads.
-        executor: Strategy name or live :class:`Executor` to run tasks on; a
-            borrowed instance is left open on close, an executor created
-            here is shut down with the writer.
     """
 
     def __init__(
@@ -159,14 +151,12 @@ class OrderedChunkWriter:
         write: Callable[[int, bytes], object],
         workers: int = 1,
         max_pending: Optional[int] = None,
-        executor=None,
     ) -> None:
         self._write = write
-        self._owns_executor = not isinstance(executor, Executor)
-        self._executor = resolve_executor(executor, resolve_workers(workers))
-        self.workers = self._executor.workers if self._executor.is_async else 1
-        self._max_pending = max_pending if max_pending is not None else 2 * max(1, self.workers)
-        self._pending: Deque[Tuple[int, TaskHandle]] = deque()
+        self.workers = resolve_workers(workers)
+        self._pool = ThreadPoolExecutor(max_workers=self.workers) if self.workers > 1 else None
+        self._max_pending = max_pending if max_pending is not None else 2 * self.workers
+        self._pending: Deque[Tuple[int, Future]] = deque()
         self._closed = False
 
     @property
@@ -174,25 +164,30 @@ class OrderedChunkWriter:
         """True when tasks may still be running after :meth:`submit` returns.
 
         Callers must hand such writers owned arguments (the encoder copies
-        interval views before submitting); on the inline serial path buffer
-        reuse is safe.
+        interval views before submitting); on the inline path buffer reuse
+        is safe.
         """
-        return self._executor.is_async
+        return self._pool is not None
 
     def submit(self, chunk_id: int, task: Callable[..., bytes], *args) -> None:
         """Queue one chunk; ``task(*args)`` produces its compressed payload."""
         if self._closed:
             raise ConfigurationError("cannot submit chunks to a closed OrderedChunkWriter")
-        if not self._executor.is_async:
+        if self._pool is None:
             self._write(chunk_id, task(*args))
             return
-        self._pending.append((chunk_id, self._executor.submit(task, *args)))
+        self._pending.append((chunk_id, self._pool.submit(task, *args)))
         while len(self._pending) > self._max_pending:
             self._drain_one()
 
     def _drain_one(self) -> None:
-        chunk_id, handle = self._pending.popleft()
-        self._write(chunk_id, handle.result())
+        chunk_id, future = self._pending.popleft()
+        self._write(chunk_id, future.result())
+
+    def _shutdown(self, cancel: bool) -> None:
+        if self._pool is not None:
+            self._pool.shutdown(wait=True, cancel_futures=cancel)
+            self._pool = None
 
     def close(self) -> None:
         """Drain every in-flight chunk (in order) and shut the pool down."""
@@ -203,22 +198,20 @@ class OrderedChunkWriter:
             while self._pending:
                 self._drain_one()
         finally:
-            if self._owns_executor:
-                self._executor.close()
+            self._pending.clear()
+            self._shutdown(cancel=True)
 
     def cancel(self) -> None:
         """Drop all in-flight chunks without writing them (error path).
 
-        Queued-but-unstarted tasks are cancelled; finished results are
-        discarded; the pool is shut down.  A borrowed executor is left open
-        but its pending handles are cancelled.
+        Queued-but-unstarted tasks are cancelled, finished results are
+        discarded, and the pool's threads are joined.
         """
         self._closed = True
-        for _, handle in self._pending:
-            handle.cancel()
+        for _, future in self._pending:
+            future.cancel()
         self._pending.clear()
-        if self._owns_executor:
-            self._executor.close(cancel=True)
+        self._shutdown(cancel=True)
 
     def __enter__(self) -> "OrderedChunkWriter":
         return self

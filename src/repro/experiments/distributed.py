@@ -473,10 +473,10 @@ class DistributedSweepRunner(SweepRunner):
         clock: Injectable lease clock (tests drive expiry with it).
         on_unit: Optional ``(unit, entry) -> None`` callback after each
             evaluated unit is stored (the in-process evaluation spy).
-        workers, executor, code_version, trace_provider: As in
+        workers, code_version, trace_provider: As in
             :class:`~repro.experiments.runner.SweepRunner`.  The group
-            fan-out is capped at threads — lease state and counters live
-            in this process.
+            fan-out runs on threads — lease state and counters live in
+            this process.
     """
 
     def __init__(
@@ -489,7 +489,6 @@ class DistributedSweepRunner(SweepRunner):
         owner: Optional[str] = None,
         clock: Optional[Callable[[], float]] = None,
         workers: int = 1,
-        executor=None,
         code_version: Optional[str] = None,
         trace_provider=None,
         on_unit=None,
@@ -503,7 +502,6 @@ class DistributedSweepRunner(SweepRunner):
             spec,
             cache_dir=cache_dir,
             workers=workers,
-            executor=executor,
             code_version=code_version,
             trace_provider=trace_provider,
         )
@@ -580,7 +578,6 @@ class DistributedSweepRunner(SweepRunner):
             lambda group: self._run_group_leased(group, stolen, report),
             groups,
             workers=self.workers,
-            executor=self.executor,
         )
 
     def _run_group_leased(self, group, stolen: bool, report: WorkerReport) -> None:

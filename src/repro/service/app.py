@@ -19,8 +19,9 @@ Endpoints (see ``docs/service.md`` for the full contract):
 Three invariants hold everywhere:
 
 1. **The event loop never computes.**  Encoding/decoding runs on worker
-   threads (which in turn drive the shared executor engine's thread
-   pool); the loop only shuttles socket bytes and spools bodies.
+   threads (each job with ``workers > 1`` runs its codec fan-out on its
+   own thread pool); the loop only shuttles socket bytes and spools
+   bodies.
 2. **Memory per connection is bounded.**  Request bodies stream to a
    per-request spool file chunk by chunk; decoded traces stream back the
    same way.  No payload is ever held in memory whole (packed containers
@@ -48,7 +49,6 @@ from pathlib import Path
 from typing import AsyncIterator, Callable, Dict, Optional, Tuple
 
 from repro.core.atc import MODE_LOSSLESS, MODE_LOSSY, AtcDecoder, AtcEncoder
-from repro.core.executors import resolve_executor
 from repro.core.lossy import LossyConfig
 from repro.errors import ConfigurationError, ReproError, ServiceError
 from repro.service.cache import CONTAINER_MEDIA_TYPE, ContainerCache, pack_container, unpack_container
@@ -60,6 +60,7 @@ from repro.service.http import (
     read_request,
     write_response,
 )
+from repro.core.parallel import resolve_workers
 from repro.service.limits import (
     DEFAULT_RETRY_AFTER,
     CancelToken,
@@ -85,9 +86,9 @@ class ServiceConfig:
             anything else — the service itself does no authentication).
         port: TCP port; ``0`` picks an ephemeral port (tests, benchmarks).
         max_connections: Connection-gate capacity; excess gets 429.
-        workers: Worker count handed to the shared codec executor.
-        executor: Executor spec (``serial``/``thread``/``None`` for the
-            ``REPRO_EXECUTOR``/auto default) shared by every job.
+        workers: Codec workers per request: ``1`` runs each job inline on
+            its job thread, more gives each job a thread pool of that size
+            (``0``/``None`` = one per CPU).
         request_timeout: Per-request processing budget in seconds; ``None``
             disables the timeout.
         max_body_bytes: Cap on any request body; overruns answer 413.
@@ -101,7 +102,6 @@ class ServiceConfig:
     port: int = 8742
     max_connections: int = 8
     workers: int = 1
-    executor: Optional[str] = None
     request_timeout: Optional[float] = 300.0
     max_body_bytes: int = 1 << 30
     cache_dir: Optional[str] = None
@@ -117,6 +117,7 @@ class ServiceConfig:
             raise ConfigurationError(f"max_body_bytes must be >= {ADDRESS_BYTES}")
         if self.drain_timeout <= 0:
             raise ConfigurationError("drain_timeout must be positive")
+        self.workers = resolve_workers(self.workers)
         # The gate constructor validates max_connections / retry_after.
         ConnectionGate(self.max_connections, self.retry_after)
 
@@ -132,7 +133,7 @@ class AtcService:
     """The service itself: routing, request lifecycle, shutdown.
 
     One instance owns one listener, one connection gate, one metrics
-    registry, one dedup cache and one shared codec executor.  Run it with
+    registry and one dedup cache.  Run it with
     :meth:`run` (blocking, installs signal handlers when possible) or host
     it in a test/benchmark with :class:`BackgroundServer`.
     """
@@ -145,7 +146,6 @@ class AtcService:
         self.port: Optional[int] = None
         self._loop: Optional[asyncio.AbstractEventLoop] = None
         self._stop_event: Optional[asyncio.Event] = None
-        self._executor = None
         self._owned_cache_dir: Optional[str] = None
         if self.config.cache_dir is None:
             self._owned_cache_dir = tempfile.mkdtemp(prefix="repro-serve-cache-")
@@ -178,7 +178,6 @@ class AtcService:
         for signum in (signal.SIGTERM, signal.SIGINT):
             with contextlib.suppress(NotImplementedError, RuntimeError, ValueError):
                 self._loop.add_signal_handler(signum, self.shutdown)
-        self._executor = resolve_executor(self.config.executor, self.config.workers)
         server = await asyncio.start_server(
             self._handle_connection, host=self.config.host, port=self.config.port
         )
@@ -194,8 +193,6 @@ class AtcService:
             return 0 if idle else 1
         finally:
             server.close()
-            self._executor.close()
-            self._executor = None
             if self._owned_cache_dir is not None:
                 shutil.rmtree(self._owned_cache_dir, ignore_errors=True)
 
@@ -376,7 +373,7 @@ class AtcService:
 
             def encode():
                 try:
-                    with AtcEncoder(workspace, mode=mode, config=config, executor=self._executor) as enc:
+                    with AtcEncoder(workspace, mode=mode, config=config) as enc:
                         enc.encode_stream(token.guard(iter_raw_chunks(spool)))
                         return enc.addresses_coded
                 except BaseException:
@@ -409,7 +406,7 @@ class AtcService:
         decoded = workdir / "trace.bin"
 
         def decode():
-            decoder = AtcDecoder(container, executor=self._executor)
+            decoder = AtcDecoder(container, workers=self.config.workers)
             count = 0
             with decoded.open("wb") as sink:
                 for chunk in token.guard(decoder.iter_chunks(chunk_addresses)):
@@ -436,7 +433,7 @@ class AtcService:
         unpack_container(spool, container)
 
         def summarize():
-            decoder = AtcDecoder(container, executor=self._executor)
+            decoder = AtcDecoder(container, workers=self.config.workers)
             records = decoder.records
             return {
                 "metadata": dict(decoder.metadata),
@@ -464,12 +461,7 @@ class AtcService:
 
         def run():
             token.raise_if_cancelled()
-            result = run_sweep(
-                spec,
-                cache_dir=cache_dir,
-                workers=self.config.workers,
-                executor=self.config.executor,
-            )
+            result = run_sweep(spec, cache_dir=cache_dir, workers=self.config.workers)
             return json.loads(result.render("json"))
 
         return _json_response(await self._run_job(run, token))

@@ -276,7 +276,6 @@ def filter_spec_like_traces(
     instruction_config: CacheConfig = PAPER_L1_CONFIG,
     data_config: CacheConfig = PAPER_L1_CONFIG,
     workers: int = 1,
-    executor=None,
 ):
     """Generate and cache-filter several spec-like workloads concurrently.
 
@@ -284,7 +283,7 @@ def filter_spec_like_traces(
     fan-out the benchmark harness and sweep runner pay for up front.  Each
     workload is generated and filtered independently (fresh caches per
     workload), so cells parallelise perfectly.  Results are identical to
-    the serial loop for every strategy.
+    the serial loop for every worker count.
 
     Args:
         names: Workload names, e.g. ``["429.mcf", "462.libquantum"]``.
@@ -294,8 +293,6 @@ def filter_spec_like_traces(
         instruction_config: L1I geometry (paper default).
         data_config: L1D geometry (paper default).
         workers: Concurrent workloads (``0``/``None`` = one per CPU).
-        executor: Strategy name, live executor, or ``None`` for the
-            environment/auto default.
 
     Returns:
         ``Dict[str, AddressTrace]`` keyed by workload name, in input order.
@@ -312,7 +309,7 @@ def filter_spec_like_traces(
         )
 
     names = [str(name) for name in names]
-    traces = map_ordered(generate_and_filter, names, workers=workers, executor=executor)
+    traces = map_ordered(generate_and_filter, names, workers=workers)
     return dict(zip(names, traces))
 
 

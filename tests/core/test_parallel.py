@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import hashlib
 import tempfile
+import threading
+import time
 from pathlib import Path
 
 import numpy as np
@@ -59,6 +61,16 @@ class TestResolveWorkers:
         with pytest.raises(ConfigurationError):
             resolve_workers(-2)
 
+    @pytest.mark.parametrize("value", [2.5, "2"])
+    def test_non_integers_rejected(self, value):
+        with pytest.raises(ConfigurationError):
+            resolve_workers(value)
+
+    @pytest.mark.parametrize("value", [-1, 2.5])
+    def test_lossy_config_validates_workers_at_construction(self, value):
+        with pytest.raises(ConfigurationError):
+            LossyConfig(workers=value)
+
 
 class TestMapOrdered:
     @pytest.mark.parametrize("workers", [1, 4])
@@ -74,6 +86,20 @@ class TestMapOrdered:
 
         with pytest.raises(ValueError):
             map_ordered(boom, [1, 2, 3], workers=4)
+
+    @pytest.mark.parametrize("workers", [1, 4])
+    def test_accepts_generators_and_empty_input(self, workers):
+        assert map_ordered(str, (value for value in range(9)), workers=workers) == [
+            str(value) for value in range(9)
+        ]
+        assert map_ordered(str, [], workers=workers) == []
+
+    def test_single_item_runs_inline_even_with_several_workers(self):
+        before = threading.active_count()
+        assert map_ordered(lambda _: threading.get_ident(), ["only"], workers=4) == [
+            threading.get_ident()
+        ]
+        assert threading.active_count() == before
 
 
 class TestOrderedChunkWriter:
@@ -100,6 +126,41 @@ class TestOrderedChunkWriter:
         with pytest.raises(ConfigurationError):
             writer.submit(0, lambda: b"")
 
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_close_is_idempotent(self, workers):
+        written = []
+        writer = OrderedChunkWriter(lambda cid, payload: written.append(cid), workers=workers)
+        writer.submit(0, lambda: b"a")
+        writer.close()
+        writer.close()
+        assert written == [0]
+        assert writer.is_async is False  # the pool is gone after close
+
+    @pytest.mark.parametrize("workers", [2, 3])
+    def test_default_window_is_twice_the_workers(self, workers):
+        gate = threading.Event()
+        writer = OrderedChunkWriter(lambda cid, payload: None, workers=workers)
+        try:
+            for chunk_id in range(2 * workers):
+                writer.submit(chunk_id, gate.wait, 5)
+            # A full window: nothing has been drained yet.
+            assert len(writer._pending) == 2 * workers
+        finally:
+            gate.set()
+            writer.close()
+
+    def test_context_exit_on_error_drops_queued_chunks(self):
+        gate = threading.Event()
+        ran, written = [], []
+        with pytest.raises(RuntimeError, match="abort"):
+            with OrderedChunkWriter(lambda cid, payload: written.append(cid), workers=2) as writer:
+                writer.submit(0, gate.wait, 5)
+                writer.submit(1, gate.wait, 5)  # both workers now blocked
+                writer.submit(2, ran.append, "queued")
+                threading.Timer(0.1, gate.set).start()
+                raise RuntimeError("abort")
+        assert ran == [] and written == []
+
     def test_task_error_surfaces_on_close(self):
         def boom():
             raise RuntimeError("compression failed")
@@ -122,13 +183,124 @@ class TestOrderedChunkWriter:
         assert written == [0]
 
     @pytest.mark.parametrize("workers,expected", [(1, False), (2, True)])
-    def test_is_async_follows_the_executor(self, workers, expected):
+    def test_is_async_follows_the_worker_count(self, workers, expected):
         writer = OrderedChunkWriter(lambda cid, payload: None, workers=workers)
         try:
             assert writer.is_async is expected
             assert writer.workers == workers
         finally:
             writer.close()
+
+
+def _boom(_value):
+    raise ValueError("task failure")
+
+
+def _slow_identity(value):
+    time.sleep(0.05)
+    return value
+
+
+class TestErrorsAndShutdown:
+    """Task errors surface unchanged, and every pool joins its threads."""
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_task_error_surfaces_without_leaking_threads(self, workers):
+        before = threading.active_count()
+        with pytest.raises(ValueError, match="task failure"):
+            map_ordered(_boom, [1, 2, 3], workers=workers)
+        with pytest.raises(ValueError, match="task failure"):
+            list(imap_ordered(_boom, iter([1, 2, 3]), workers=workers))
+        assert threading.active_count() == before
+
+    def test_pipeline_task_error_surfaces_and_joins_the_pool(self):
+        before = threading.active_count()
+        written = []
+        writer = OrderedChunkWriter(lambda cid, payload: written.append(cid), workers=2)
+        writer.submit(0, _slow_identity, b"ok")
+        writer.submit(1, _boom, 2)
+        with pytest.raises(ValueError, match="task failure"):
+            writer.close()
+        assert written == [0]
+        assert threading.active_count() == before
+
+    def test_cancelled_writer_writes_nothing_and_returns_promptly(self):
+        before = threading.active_count()
+        written = []
+        writer = OrderedChunkWriter(
+            lambda cid, payload: written.append(cid), workers=2, max_pending=80
+        )
+        started = time.perf_counter()
+        for chunk_id in range(80):
+            writer.submit(chunk_id, _slow_identity, chunk_id)
+        writer.cancel()
+        # Draining 80 x 50 ms on two workers would take 2 s; cancelling
+        # drops the unstarted tail instead.
+        assert time.perf_counter() - started < 1.0
+        assert written == []
+        assert threading.active_count() == before
+        with pytest.raises(ConfigurationError):
+            writer.submit(80, _slow_identity, 1)
+
+    def test_aborted_encoder_context_joins_the_pool(self, tmp_path, phased_trace):
+        from repro.core.atc import AtcEncoder
+
+        before = threading.active_count()
+        encoder = AtcEncoder(tmp_path / "container", mode=MODE_LOSSLESS, config=_config(2))
+        with pytest.raises(RuntimeError):
+            with encoder:
+                encoder.code_many(phased_trace[:60_000])
+                raise RuntimeError("abort")
+        assert threading.active_count() == before
+
+    @pytest.mark.parametrize(
+        "workers,lookahead,bound",
+        [(1, None, 1), (3, None, 6), (2, 1, 1), (2, 5, 5)],
+        ids=["inline", "default-window", "lookahead-1", "lookahead-5"],
+    )
+    def test_imap_ordered_bounds_in_flight_tasks_and_keeps_order(self, workers, lookahead, bound):
+        lock = threading.Lock()
+        state = {"submitted": 0, "finished": 0, "peak": 0}
+
+        def task(value):
+            time.sleep(0.001 * (value % 3))
+            with lock:
+                state["finished"] += 1
+            return value * 7
+
+        def items():
+            for value in range(60):
+                with lock:
+                    state["submitted"] += 1
+                    state["peak"] = max(state["peak"], state["submitted"] - state["finished"])
+                yield value
+
+        results = imap_ordered(task, items(), workers=workers, lookahead=lookahead)
+        assert list(results) == [v * 7 for v in range(60)]
+        assert state["peak"] <= bound
+
+    def test_imap_ordered_early_close_drops_unstarted_work(self):
+        before = threading.active_count()
+        ran = []
+        stream = imap_ordered(lambda value: ran.append(value) or value, range(100), workers=2)
+        assert next(stream) == 0
+        stream.close()
+        assert len(ran) <= 1 + 2 * 2
+        assert threading.active_count() == before
+
+    def test_one_worker_runs_inline_on_the_caller_thread(self):
+        threads = set()
+
+        def record(value):
+            threads.add(threading.get_ident())
+            return value
+
+        assert map_ordered(record, [1, 2, 3], workers=1) == [1, 2, 3]
+        written = []
+        writer = OrderedChunkWriter(lambda cid, payload: written.append(cid), workers=1)
+        writer.submit(0, record, b"now")
+        assert written == [0]  # before close() was ever called
+        assert threads == {threading.get_ident()}
 
 
 def _synthetic_addresses(count: int) -> np.ndarray:
@@ -170,21 +342,19 @@ class TestBulkCodecWindow:
                 yield value
 
         results = []
-        for value in imap_ordered(lambda v: v + 100, items(), workers=workers, executor="thread"):
+        for value in imap_ordered(lambda v: v + 100, items(), workers=workers):
             state["yielded"] += 1
             results.append(value)
         assert results == [v + 100 for v in range(64)]
 
-    @pytest.mark.parametrize("name", ["serial", "thread"])
-    def test_compress_many_accepts_generators_byte_identically(self, name):
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_compress_many_accepts_generators_byte_identically(self, workers):
         codec = LosslessCodec(buffer_addresses=64, backend="zlib")
         intervals = [_synthetic_addresses(50 + 13 * i) for i in range(12)]
         reference = [codec.compress(interval) for interval in intervals]
-        produced = codec.compress_many(
-            (interval for interval in intervals), workers=2, executor=name
-        )
+        produced = codec.compress_many((interval for interval in intervals), workers=workers)
         assert produced == reference
-        recovered = codec.decompress_many(iter(produced), workers=2, executor=name)
+        recovered = codec.decompress_many(iter(produced), workers=workers)
         assert all(np.array_equal(r, i) for r, i in zip(recovered, intervals))
 
 
@@ -268,6 +438,25 @@ class TestDecoderChunkCache:
         decoder._load_chunk = counting_load
         assert np.array_equal(decoder.read_all(), phased_trace)
         assert len(loads) == len(set(loads))  # no chunk decoded twice
+
+    @pytest.mark.parametrize("workers,prefetches", [(1, False), (2, True)])
+    def test_streaming_decode_prefetches_iff_several_workers(
+        self, tmp_path, phased_trace, workers, prefetches
+    ):
+        directory = tmp_path / "container"
+        compress_trace(phased_trace, directory, mode=MODE_LOSSLESS, config=_config(1))
+        decoder = AtcDecoder(directory, workers=workers)
+        loaders = set()
+        original = decoder._load_chunk
+
+        def recording_load(chunk_id):
+            loaders.add(threading.get_ident())
+            return original(chunk_id)
+
+        decoder._load_chunk = recording_load
+        decoded = np.concatenate(list(decoder.iter_intervals()))
+        assert np.array_equal(decoded, phased_trace)
+        assert (threading.get_ident() not in loaders) is prefetches
 
     def test_cache_is_bounded(self, tmp_path, phased_trace):
         directory = tmp_path / "container"

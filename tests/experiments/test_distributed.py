@@ -72,6 +72,23 @@ def _write_spec(tmp_path) -> Path:
     return path
 
 
+def _proper_shard(spec) -> str:
+    """An ``i/N`` shard holding some, but not all, of the grid's units.
+
+    The package version is mixed into every unit hash, so the partition
+    moves with each release; tests that need an abandoned remainder pick
+    such a shard instead of assuming ``1/2`` leaves one.
+    """
+    plan = expand_sweep(spec)
+    version = default_code_version()
+    total = len(plan.units)
+    for count in range(2, total + 1):
+        for index in range(1, count + 1):
+            if 0 < len(plan.shard_units(index, count, version)) < total:
+                return f"{index}/{count}"
+    raise AssertionError("every unit hashes to the same shard")
+
+
 def _leftovers(cache_dir) -> list:
     cache_dir = Path(cache_dir)
     return list(cache_dir.glob("*.lease")) + list(cache_dir.glob("*.tmp"))
@@ -340,8 +357,8 @@ class TestDistributedRunner:
 
     def test_stealer_finishes_an_abandoned_shard(self, tmp_path):
         cache = tmp_path / "cache"
-        first = _StubDistributedRunner(_SPEC, cache, shard="1/2").run_worker()
-        assert first.remaining > 0  # shard 2 never ran
+        first = _StubDistributedRunner(_SPEC, cache, shard=_proper_shard(_SPEC)).run_worker()
+        assert first.remaining > 0  # the other shards never ran
         stealer = _StubDistributedRunner(_SPEC, cache, steal=True).run_worker()
         assert stealer.shard_units == 0  # a pure stealer owns nothing
         assert stealer.evaluated == stealer.stolen == first.remaining
@@ -395,13 +412,20 @@ class TestDistributedRunner:
         with pytest.raises(ConfigurationError):
             DistributedSweepRunner(_SPEC, None)
 
-    def test_removed_process_executor_is_rejected(self, tmp_path):
-        with pytest.raises(ConfigurationError, match="--shard i/N"):
-            _StubDistributedRunner(_SPEC, tmp_path / "c", executor="process", workers=2)
+    def test_worker_thread_pool_merges_to_the_inline_result(self, tmp_path):
+        inline = _StubDistributedRunner(_SPEC, tmp_path / "inline").run_worker()
+        pooled = _StubDistributedRunner(_SPEC, tmp_path / "pooled", workers=3).run_worker()
+        assert pooled.evaluated == inline.evaluated == len(expand_sweep(_SPEC).units)
+        assert pooled.remaining == 0
+
+        def merged(cache):
+            return merge_sweep(_SPEC, ResultStore(cache)).result.normalized().to_json()
+
+        assert merged(tmp_path / "pooled") == merged(tmp_path / "inline")
 
     def test_merge_reports_missing_units_in_grid_order(self, tmp_path):
         cache = tmp_path / "cache"
-        _StubDistributedRunner(_SPEC, cache, shard="1/2").run_worker()
+        _StubDistributedRunner(_SPEC, cache, shard=_proper_shard(_SPEC)).run_worker()
         merged = merge_sweep(_SPEC, ResultStore(cache))
         plan = expand_sweep(_SPEC)
         version = default_code_version()

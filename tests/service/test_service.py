@@ -21,6 +21,7 @@ import pytest
 
 from repro.core.atc import compress_stream
 from repro.core.lossy import LossyConfig
+from repro.errors import ConfigurationError
 from repro.service import BackgroundServer, ServiceConfig, pack_container, unpack_container
 from repro.service.metrics import METRICS_SCHEMA
 
@@ -40,10 +41,9 @@ def server():
     assert running.exit_code == 0
 
 
-@pytest.fixture(scope="module")
-def call(server):
+def _requester(port: int):
     def request(method, path, body=None, headers=None):
-        connection = http.client.HTTPConnection("127.0.0.1", server.port, timeout=30)
+        connection = http.client.HTTPConnection("127.0.0.1", port, timeout=30)
         try:
             connection.request(method, path, body=body, headers=headers or {})
             response = connection.getresponse()
@@ -52,6 +52,85 @@ def call(server):
             connection.close()
 
     return request
+
+
+@pytest.fixture(scope="module")
+def call(server):
+    return _requester(server.port)
+
+
+class TestServiceConfig:
+    @pytest.mark.parametrize(
+        "field,value",
+        [
+            ("port", 70_000),
+            ("request_timeout", 0),
+            ("max_body_bytes", 4),
+            ("drain_timeout", -1.0),
+            ("workers", -1),
+            ("workers", 2.5),
+        ],
+    )
+    def test_invalid_field_rejected_at_construction(self, field, value):
+        with pytest.raises(ConfigurationError):
+            ServiceConfig(**{field: value})
+
+    def test_workers_normalised_like_lossy_config(self):
+        assert ServiceConfig(workers=0).workers == LossyConfig(workers=0).workers >= 1
+        assert ServiceConfig(workers=None).workers == ServiceConfig(workers=0).workers
+
+
+
+class TestMultiWorkerService:
+    """``--workers 2``: every job type runs its codec fan-out on a thread pool
+    and answers exactly what the inline (1-worker) path answers."""
+
+    @pytest.fixture(scope="class")
+    def pooled_call(self):
+        config = ServiceConfig(port=0, workers=2, request_timeout=60.0)
+        with BackgroundServer(config) as running:
+            yield _requester(running.port)
+        assert running.exit_code == 0
+
+    def test_round_trip_is_byte_identical(self, pooled_call):
+        raw = make_trace(6_000, 97).tobytes()
+        path = "/v1/compress?mode=c&backend=zlib&chunk_buffer_addresses=1000"
+        status, _, container = pooled_call("POST", path, raw)
+        assert status == 200
+        status, _, decoded = pooled_call("POST", "/v1/decompress", container)
+        assert status == 200 and decoded == raw
+
+    @pytest.mark.parametrize("mode", ["c", "k"])
+    def test_served_container_matches_the_inline_encoder(self, pooled_call, tmp_path, mode):
+        trace = make_trace(8_000, 450)
+        status, _, served = pooled_call(
+            "POST",
+            f"/v1/compress?mode={mode}&backend=zlib&interval_length=1000"
+            "&chunk_buffer_addresses=1000",
+            trace.tobytes(),
+        )
+        assert status == 200
+        config = LossyConfig(interval_length=1_000, chunk_buffer_addresses=1_000, backend="zlib")
+        compress_stream([trace], tmp_path / "inline", mode=mode, config=config)
+        unpack_container(served, tmp_path / "served")
+        inline = {p.name: p.read_bytes() for p in (tmp_path / "inline").iterdir()}
+        assert {p.name: p.read_bytes() for p in (tmp_path / "served").iterdir()} == inline
+
+    def test_inspect_and_sweep_answer(self, pooled_call):
+        trace = make_trace(5_000, 250)
+        status, _, container = pooled_call("POST", "/v1/compress?mode=c", trace.tobytes())
+        assert status == 200
+        status, _, body = pooled_call("POST", "/v1/inspect", container)
+        assert status == 200 and json.loads(body)["metadata"]["original_length"] == trace.size
+        spec = {
+            "name": "pooled-sweep",
+            "workloads": [{"name": "429.mcf", "references": 2_000, "seed": 0},
+                          {"name": "433.milc", "references": 2_000, "seed": 0}],
+            "codecs": [{"kind": "raw"}],
+            "scale": {"small_buffer": 4_096, "interval_length": 1_000},
+        }
+        status, _, body = pooled_call("POST", "/v1/sweep", json.dumps(spec).encode())
+        assert status == 200 and len(json.loads(body)["rows"]) == 2
 
 
 class TestCompressDecompressRoundTrip:

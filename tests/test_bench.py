@@ -14,7 +14,6 @@ from repro.bench import (
     compare_reports,
     load_report,
     render_report_text,
-    resolved_executor_name,
     run_suite,
     save_report,
     SUITE_BENCHES_NAMES,
@@ -28,8 +27,8 @@ SCALE = BenchScale(references=2_000)
 @pytest.fixture(scope="module")
 def suite_report() -> dict:
     """One real (tiny-scale) suite run shared by the run/report/CLI tests."""
-    results = run_suite(SCALE, executor="serial", workers=1)
-    return build_report(results, SCALE, "serial", 1)
+    results = run_suite(SCALE, workers=1)
+    return build_report(results, SCALE, workers=1)
 
 
 def _synthetic_report(**overrides) -> dict:
@@ -80,8 +79,8 @@ class TestRunSuite:
         codec_entries = [e for e in suite_report["benchmarks"] if e["name"].startswith(("enc", "dec"))]
         assert all(e["bits_per_address"] > 0 and e["payload_bytes"] > 0 for e in codec_entries)
 
-    def test_metrics_deterministic_across_runs_and_executors(self, suite_report):
-        rerun = run_suite(SCALE, executor="thread", workers=2)
+    def test_metrics_deterministic_across_runs_and_worker_counts(self, suite_report):
+        rerun = run_suite(SCALE, workers=2)
         by_name = {entry["name"]: entry for entry in suite_report["benchmarks"]}
         for result in rerun:
             assert result.bits_per_address == by_name[result.name]["bits_per_address"]
@@ -103,10 +102,10 @@ class TestRunSuite:
         assert "filter_assoc" in names
         assert "stackdist_curve" in names
 
-    def test_resolved_executor_name(self):
-        assert resolved_executor_name(None, workers=1) == "serial"
-        assert resolved_executor_name(None, workers=4) == "thread"
-        assert resolved_executor_name("thread", workers=1) == "thread"
+    @pytest.mark.parametrize("workers,expected", [(1, "serial"), (2, "thread"), (4, "thread")])
+    def test_report_executor_field_follows_the_worker_count(self, workers, expected):
+        report = build_report([], SCALE, workers=workers)
+        assert (report["executor"], report["workers"]) == (expected, workers)
 
 
 class TestReportSchema:

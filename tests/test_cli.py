@@ -145,28 +145,6 @@ class TestJobsFlag:
         assert bin2atc_main(args) == 1
         assert "unknown compression backend" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("executor", ["fibers", "process"])
-    def test_unknown_executor_choice_is_a_usage_error(
-        self, tmp_path, raw_trace_file, capsys, executor
-    ):
-        args = ["compress", str(tmp_path / "c"), "--input", str(raw_trace_file)]
-        with pytest.raises(SystemExit) as caught:
-            main(args + ["--executor", executor])
-        assert caught.value.code == 2
-        assert "invalid choice" in capsys.readouterr().err
-
-    @pytest.mark.parametrize(
-        "value,message",
-        [("fibers", "unknown executor"), ("process", "repro sweep run --shard i/N")],
-    )
-    def test_bad_executor_environment_fails_cleanly(
-        self, tmp_path, raw_trace_file, capsys, monkeypatch, value, message
-    ):
-        monkeypatch.setenv("REPRO_EXECUTOR", value)
-        args = ["compress", str(tmp_path / "c"), "--lossless", "--input", str(raw_trace_file)]
-        assert main(args) == 1
-        assert message in capsys.readouterr().err
-
     def test_jobs_containers_are_byte_identical(self, tmp_path, raw_trace_file):
         containers = []
         for jobs in ("1", "4"):
@@ -187,6 +165,35 @@ class TestJobsFlag:
                 {entry.name: entry.read_bytes() for entry in container.iterdir()}
             )
         assert containers[0] == containers[1]
+
+    def test_lossy_jobs_containers_are_byte_identical(self, tmp_path, raw_trace_file):
+        containers = []
+        for jobs in ("1", "2", "4"):
+            container = tmp_path / f"container-{jobs}"
+            args = [str(container), "--input", str(raw_trace_file), "--interval-length", "5000",
+                    "--buffer-addresses", "5000", "--jobs", jobs]
+            assert bin2atc_main(args) == 0
+            containers.append({entry.name: entry.read_bytes() for entry in container.iterdir()})
+        assert containers[0] == containers[1] == containers[2]
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["compress", "c", "--input", "t.bin"],
+            ["decompress", "c"],
+            ["convert", "t.k6", "c"],
+            ["sweep", "run", "spec.toml"],
+            ["bench"],
+            ["serve"],
+        ],
+        ids=lambda argv: "-".join(argv[:2]) if argv[0] == "sweep" else argv[0],
+    )
+    def test_removed_executor_flag_is_a_usage_error(self, argv, capsys):
+        """``--jobs``/``--workers`` are the only parallelism settings."""
+        with pytest.raises(SystemExit) as caught:
+            main(argv + ["--executor", "thread"])
+        assert caught.value.code == 2
+        assert "unrecognized arguments: --executor" in capsys.readouterr().err
 
 
 class TestReproUmbrella:

@@ -459,3 +459,64 @@ class TestServiceMetricsSchemaAgainstLiveServer:
         for field in ("in_flight", "rejected", "aborted", "queue_depth",
                       "hit_rate", "Retry-After", "X-Atc-Cache", "X-Atc-Key"):
             assert field in page, f"service.md no longer documents {field}"
+
+
+def _flag_tables(page: str):
+    """Yield ``(heading, flags)`` for every Option/Flag table of a page.
+
+    ``heading`` is the nearest ``##``/``###`` heading above the table;
+    ``flags`` are the ``-x``/``--name`` options named in its first column.
+    """
+    heading, flags, in_table = "", None, False
+    for line in page.splitlines() + [""]:
+        if line.startswith("#"):
+            heading = line.lstrip("#").strip()
+        cells = [cell.strip() for cell in line.strip().strip("|").split("|")]
+        if line.startswith("|") and not in_table:
+            in_table = True
+            flags = [] if cells[0] in ("Option", "Flag") else None
+        elif line.startswith("|") and flags is not None and not set(cells[0]) <= set("- "):
+            flags += re.findall(r"(?<![\w-])(--?[a-z][a-z0-9-]*)", cells[0])
+        elif not line.startswith("|") and in_table:
+            if flags is not None:
+                yield heading, flags
+            in_table, flags = False, None
+
+
+def _cli_parser(heading: str):
+    """The argparse parser a ``docs/cli.md`` heading like ``repro sweep run SPEC`` documents."""
+    from repro import cli
+
+    words = re.search(r"`repro ([^`]+)`", heading).group(1).split()
+    tool = {"compress": "bin2atc", "decompress": "atc2bin"}.get(words[0], words[0])
+    parser = getattr(cli, f"_build_{tool}_parser")()
+    if len(words) > 1 and parser._subparsers is not None:
+        parser = parser._subparsers._group_actions[0].choices[words[1]]
+    return parser
+
+
+_FLAG_TABLES = [
+    (page, heading, flags)
+    for page in ("cli.md", "service.md")
+    for heading, flags in _flag_tables((_DOCS / page).read_text(encoding="utf-8"))
+]
+
+
+class TestDocumentedFlagsExist:
+    """Every ``--flag`` in a documented flag table is accepted by its parser,
+    so a removed option cannot keep a stale row in the docs."""
+
+    def test_both_pages_have_flag_tables(self):
+        assert {page for page, _, _ in _FLAG_TABLES} == {"cli.md", "service.md"}
+
+    @pytest.mark.parametrize(
+        "page,heading,flags",
+        _FLAG_TABLES,
+        ids=[f"{page}:{heading.split('`')[1] if '`' in heading else heading}"
+             for page, heading, _ in _FLAG_TABLES],
+    )
+    def test_flag_table_matches_its_parser(self, page, heading, flags):
+        parser = _cli_parser("`repro serve`" if page == "service.md" else heading)
+        assert flags, f"{page} '{heading}' lists no options"
+        unknown = [flag for flag in flags if flag not in parser._option_string_actions]
+        assert not unknown, f"{page} '{heading}' documents unknown options {unknown}"

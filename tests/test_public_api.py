@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import importlib
+import re
+from pathlib import Path
 
 import pytest
 
@@ -12,6 +14,23 @@ import repro
 class TestPublicApi:
     def test_version_is_exposed(self):
         assert repro.__version__
+
+    def test_version_matches_pyproject(self):
+        pyproject = Path(__file__).resolve().parent.parent / "pyproject.toml"
+        match = re.search(r'^version = "([^"]+)"$', pyproject.read_text(encoding="utf-8"), re.M)
+        assert match, "pyproject.toml declares no [project] version"
+        assert repro.__version__ == match.group(1)
+
+    @pytest.mark.parametrize("module_name", ["repro", "repro.core", "repro.core.parallel", "repro.bench"])
+    def test_executor_strategy_layer_is_gone(self, module_name):
+        """Since 4.0.0 the worker count is the only parallelism setting."""
+        module = importlib.import_module(module_name)
+        for name in ("Executor", "SerialExecutor", "ThreadExecutor", "TaskHandle",
+                     "resolve_executor", "executor_scope", "executor_kind",
+                     "EXECUTOR_NAMES", "resolved_executor_name"):
+            assert not hasattr(module, name), f"{module_name}.{name} still exported"
+        with pytest.raises(ImportError):
+            importlib.import_module("repro.core.executors")
 
     def test_all_names_resolve(self):
         for name in repro.__all__:

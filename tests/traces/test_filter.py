@@ -12,6 +12,7 @@ from repro.traces.filter import (
     PAPER_L1_CONFIG,
     CacheFilter,
     filter_reference_stream,
+    filter_spec_like_traces,
     filtered_spec_like_trace,
 )
 from repro.traces.synthetic import make_reference_stream
@@ -96,6 +97,13 @@ class TestFilteredSpecLikeTrace:
         streaming = filtered_spec_like_trace("453.povray", 10_000, seed=0)
         pointer = filtered_spec_like_trace("429.mcf", 10_000, seed=0)
         assert len(streaming) < len(pointer)
+
+    def test_batch_form_is_identical_at_every_worker_count(self):
+        names = ["433.milc", "429.mcf", "453.povray"]
+        inline = filter_spec_like_traces(names, 4_000, seed=1, workers=1)
+        assert list(inline) == names
+        assert inline == filter_spec_like_traces(names, 4_000, seed=1, workers=3)
+        assert inline["429.mcf"] == filtered_spec_like_trace("429.mcf", 4_000, seed=1)
 
 
 class TestFilterBatchEquivalence:

@@ -463,6 +463,14 @@ class TestConvertRoundTrips:
         export_from_atc(container, second)
         assert first.read_bytes() == second.read_bytes()
 
+    def test_export_is_byte_identical_at_every_worker_count(self, tmp_path):
+        container = tmp_path / "container"
+        convert_to_atc(self._k6_source(tmp_path), container, config=golden_config())
+        inline, pooled = tmp_path / "a.k6.trc", tmp_path / "b.k6.trc"
+        export_from_atc(container, inline, chunk_addresses=7, workers=1)
+        export_from_atc(container, pooled, chunk_addresses=7, workers=3)
+        assert inline.read_bytes() == pooled.read_bytes()
+
     def test_cross_format_export_k6_to_mase(self, tmp_path):
         container = tmp_path / "container"
         convert_to_atc(self._k6_source(tmp_path), container, config=golden_config())
