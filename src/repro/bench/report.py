@@ -2,11 +2,12 @@
 
 One report format, one schema version, one validator — shared by the
 ``repro bench`` CLI that emits reports, the CI gate that compares them, and
-the per-PR trajectory files (``BENCH_PR4.json`` and successors) future
-sessions consume.  The schema is deliberately flat and dependency-free (no
-``jsonschema``): :func:`validate_report` is a hand-rolled structural check
-that raises :class:`~repro.errors.BenchmarkError` with a path-qualified
-message on the first violation.
+the committed trajectory files (``BENCH_v<version>.json``, one per
+release; ``BENCH_PR4.json`` .. ``BENCH_PR10.json`` before that).  The
+schema is deliberately flat and dependency-free (no ``jsonschema``):
+:func:`validate_report` is a hand-rolled structural check that raises
+:class:`~repro.errors.BenchmarkError` with a path-qualified message on the
+first violation.
 
 Report layout (schema ``repro-bench-report/1``)::
 

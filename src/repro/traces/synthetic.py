@@ -27,6 +27,7 @@ instrumenting "all basic blocks and all instructions accessing memory".
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Iterator, Optional, Sequence, Tuple
 
@@ -203,16 +204,11 @@ def loop_nest(
     length = _check_positive("length", length)
     rows = _check_positive("rows", rows)
     cols = _check_positive("cols", cols)
-    row_index, col_index = np.meshgrid(np.arange(rows), np.arange(cols), indexing="ij")
+    elements = np.arange(rows * cols).reshape(rows, cols)
     if column_major:
-        order = np.argsort(col_index.ravel() * rows + row_index.ravel(), kind="stable")
-    else:
-        order = np.arange(rows * cols)
-    offsets = (row_index.ravel()[order] * cols + col_index.ravel()[order]) * element_bytes
-    offsets = offsets.astype(np.uint64)
-    repeats = -(-length // offsets.size)  # ceil division
-    tiled = np.tile(offsets, repeats)[:length]
-    return (np.uint64(base) + tiled).astype(_U64)
+        elements = elements.T
+    offsets = (elements.ravel() * element_bytes).astype(np.uint64)
+    return (np.uint64(base) + np.resize(offsets, length)).astype(_U64)
 
 
 def random_working_set(
@@ -243,21 +239,30 @@ def pointer_chase(
     node_bytes: int = 64,
     seed: int = 0,
 ) -> np.ndarray:
-    """Traversal of a random circular linked list of ``num_nodes`` nodes.
+    """Pointer chasing around the cycle through node 0 of a random permutation.
 
-    The successor of each node is a fixed random permutation, so the access
-    sequence is deterministic but has essentially no spatial locality,
-    mimicking mcf/omnetpp-style pointer chasing.
+    The successor of each of the ``num_nodes`` nodes is a fixed random
+    permutation, and the walk starts at node 0, so it only ever visits the
+    permutation's cycle through node 0 and repeats it once it closes.  That
+    cycle's length -- the footprint of the stream -- is uniform over
+    ``1..num_nodes`` and varies with ``seed``.  The access sequence is
+    deterministic but has essentially no spatial locality, mimicking
+    mcf/omnetpp-style pointer chasing.
     """
     length = _check_positive("length", length)
     num_nodes = _check_positive("num_nodes", num_nodes)
     rng = np.random.default_rng(seed)
-    successor = rng.permutation(num_nodes)
-    node = 0
-    nodes = np.empty(length, dtype=np.uint64)
-    for k in range(length):
-        nodes[k] = node
-        node = int(successor[node])
+    successor = memoryview(rng.permutation(num_nodes))
+    # Walk the cycle once (or only as far as ``length`` needs), then tile it:
+    # the walk never leaves the cycle it starts on.
+    cycle = [0]
+    node = successor[0]
+    for _ in range(length - 1):
+        if node == 0:
+            break
+        cycle.append(node)
+        node = successor[node]
+    nodes = np.resize(np.asarray(cycle, dtype=np.uint64), length)
     return (np.uint64(base) + nodes * np.uint64(node_bytes)).astype(_U64)
 
 
@@ -396,6 +401,10 @@ def make_reference_stream(
     """
     if not 0.0 <= write_fraction <= 1.0:
         raise ConfigurationError("write_fraction must lie in [0, 1]")
+    if not (math.isfinite(instruction_ratio) and instruction_ratio >= 0.0):
+        raise ConfigurationError(
+            f"instruction_ratio must be finite and non-negative, got {instruction_ratio}"
+        )
     data_addresses = as_address_array(data_addresses)
     num_data = int(data_addresses.size)
     num_code = int(round(num_data * instruction_ratio))
@@ -412,8 +421,10 @@ def make_reference_stream(
         return ReferenceStream(addresses, is_instruction, name=name, is_write=data_is_write)
     # Interleave proportionally: place instruction fetches at evenly spaced
     # positions so the two streams mix like a real fetch/execute interleaving.
+    # The positions are non-decreasing, so dropping repeats of the previous
+    # position deduplicates them in one O(n) pass.
     positions = np.linspace(0, total - 1, num_code).astype(np.int64)
-    positions = np.unique(positions)
+    positions = positions[np.concatenate(([True], positions[1:] != positions[:-1]))]
     while positions.size < num_code:
         extra = np.setdiff1d(np.arange(total, dtype=np.int64), positions)[: num_code - positions.size]
         positions = np.sort(np.concatenate([positions, extra]))

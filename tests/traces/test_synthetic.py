@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from repro.errors import ConfigurationError
 from repro.traces import synthetic
@@ -58,6 +60,27 @@ class TestPrimitiveGenerators:
         b = synthetic.pointer_chase(200, num_nodes=50, seed=9)
         assert np.array_equal(a, b)
 
+    @settings(max_examples=150, deadline=None)
+    @given(
+        length=st.integers(min_value=1, max_value=400),
+        num_nodes=st.integers(min_value=1, max_value=120),
+        seed=st.integers(min_value=0, max_value=2**32 - 1),
+    )
+    @example(length=1, num_nodes=1, seed=0)
+    @example(length=97, num_nodes=1, seed=3)
+    @example(length=3 * 56 + 2, num_nodes=60, seed=4)  # three laps of a 56-node cycle
+    @example(length=50, num_nodes=120, seed=4)  # stops inside a 112-node cycle
+    def test_pointer_chase_matches_scalar_walk(self, length, num_nodes, seed):
+        # The oracle walks the successor permutation one node per reference.
+        successor = np.random.default_rng(seed).permutation(num_nodes)
+        node, expected = 0, []
+        for _ in range(length):
+            expected.append(0x5000_0000 + node * 64)
+            node = int(successor[node])
+        stream = synthetic.pointer_chase(length, num_nodes=num_nodes, seed=seed)
+        assert stream.dtype == np.uint64
+        assert stream.tolist() == expected
+
     def test_gups_updates_aligned(self):
         stream = synthetic.gups_updates(1_000, table_bytes=1 << 20, base=0, seed=2)
         assert np.all(stream % 8 == 0)
@@ -103,6 +126,10 @@ class TestGeneratorValidation:
             lambda: synthetic.region_mixture(10, regions=[]),
             lambda: synthetic.region_mixture(10, regions=[(0, 64)], weights=[0.0]),
             lambda: synthetic.loop_nest(0),
+            lambda: make_reference_stream(np.arange(10, dtype=np.uint64), instruction_ratio=-1.0),
+            lambda: make_reference_stream(np.arange(10, dtype=np.uint64), instruction_ratio=float("nan")),
+            lambda: make_reference_stream(np.arange(10, dtype=np.uint64), instruction_ratio=float("inf")),
+            lambda: make_reference_stream(np.arange(10, dtype=np.uint64), instruction_ratio=float("-inf")),
         ],
     )
     def test_invalid_parameters_raise(self, call):
@@ -116,6 +143,28 @@ class TestReferenceStream:
         stream = make_reference_stream(data, name="mix", instruction_ratio=1.0, seed=11)
         assert len(stream) == 2_000
         assert stream.is_instruction.sum() == 1_000
+        assert np.array_equal(stream.data_addresses, data)
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        num_data=st.integers(min_value=1, max_value=300),
+        ratio=st.floats(min_value=0.0, max_value=4.0),
+    )
+    def test_instruction_positions_match_sorted_unique_oracle(self, num_data, ratio):
+        # The oracle deduplicates the evenly spaced positions with a full
+        # sort-unique and tops them up with the lowest free slots.
+        num_code = int(round(num_data * ratio))
+        total = num_data + num_code
+        expected = np.zeros(total, dtype=bool)
+        if num_code:
+            positions = np.unique(np.linspace(0, total - 1, num_code).astype(np.int64))
+            while positions.size < num_code:
+                free = np.setdiff1d(np.arange(total, dtype=np.int64), positions)
+                positions = np.sort(np.concatenate([positions, free[: num_code - positions.size]]))
+            expected[positions] = True
+        data = synthetic.sequential_stream(num_data, base=0x1000_0000)
+        stream = make_reference_stream(data, instruction_ratio=ratio, seed=2)
+        assert np.array_equal(stream.is_instruction, expected)
         assert np.array_equal(stream.data_addresses, data)
 
     def test_zero_instruction_ratio(self):
